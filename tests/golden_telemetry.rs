@@ -14,9 +14,10 @@
 use elmem::cluster::ClusterConfig;
 use elmem::core::migration::MigrationCosts;
 use elmem::core::{
-    run_experiment_with_telemetry, ExperimentConfig, FaultPlan, MigrationPolicy, ScaleAction,
+    run_experiment_with_telemetry, ExperimentConfig, FaultPlan, HealingConfig, MigrationPolicy,
+    ScaleAction,
 };
-use elmem::util::{SimTime, TelemetryConfig};
+use elmem::util::{NodeId, SimTime, TelemetryConfig};
 use elmem::workload::{DemandTrace, Keyspace, WorkloadConfig};
 use std::path::{Path, PathBuf};
 
@@ -123,6 +124,34 @@ fn scale_in_resume_dump_matches_golden() {
         "resume scenario must actually crash and resume"
     );
     check_golden("scale_in_resume.json", &dump);
+}
+
+#[test]
+fn scale_in_naive_dump_matches_golden() {
+    // The scale-in scenario under the Naive comparator: pins its
+    // fraction-shipping migration and `set`-path import byte-for-byte.
+    let mut cfg = config(ScaleAction::In { count: 1 });
+    cfg.policy = MigrationPolicy::Naive;
+    let r = run_experiment_with_telemetry(cfg, TelemetryConfig::default());
+    check_golden("scale_in_naive.json", &r.telemetry.to_json());
+}
+
+#[test]
+fn recovery_warm_dump_matches_golden() {
+    // No scheduled scaling: one node crashes at 20 s, the detector
+    // confirms it, and healing admits a replacement warmed by the
+    // unjournaled scale-out migration before it joins the ring.
+    let mut cfg = config(ScaleAction::In { count: 1 });
+    cfg.scheduled.clear();
+    cfg.faults = FaultPlan::new().crash(SimTime::from_secs(20), NodeId(1));
+    cfg.healing = Some(HealingConfig::warm_replacement());
+    let r = run_experiment_with_telemetry(cfg, TelemetryConfig::default());
+    let dump = r.telemetry.to_json();
+    assert!(
+        dump.contains("\"recovery_completed\""),
+        "recovery scenario must actually heal the crashed node"
+    );
+    check_golden("recovery_warm.json", &dump);
 }
 
 #[test]
