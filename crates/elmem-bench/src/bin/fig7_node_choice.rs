@@ -11,7 +11,7 @@
 use elmem_bench::exp::{cluster_preset, workload_preset, Preset};
 use elmem_bench::sweep;
 use elmem_cluster::Cluster;
-use elmem_core::migration::{migrate_scale_in, MigrationCosts};
+use elmem_core::migration::{migrate, MigrationCosts, MigrationRequest, Supervision};
 use elmem_core::scoring::node_score;
 use elmem_store::ImportMode;
 use elmem_util::{DetRng, NodeId, SimTime};
@@ -71,12 +71,16 @@ fn main() {
     // tier — independent cells for the sweep harness.
     let migrated: Vec<u64> = sweep::run_cells(sweep::jobs_from_cli(), &scored, |_, (id, _)| {
         let mut trial = cluster.tier.clone();
-        migrate_scale_in(
+        migrate(
             &mut trial,
-            &[*id],
+            MigrationRequest::ScaleIn {
+                retiring: &[*id],
+                import: ImportMode::Merge,
+            },
             SimTime::from_secs(200),
             &MigrationCosts::default(),
-            ImportMode::Merge,
+            &mut Supervision::none(),
+            None,
         )
         .expect("migration succeeds")
         .items_migrated

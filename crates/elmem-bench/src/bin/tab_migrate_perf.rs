@@ -6,7 +6,7 @@
 //! Three measurements:
 //!
 //! * **end-to-end migration**: one warmed laptop-scale tier, retire the
-//!   Master's scoring choice, time `migrate_scale_in` (best of N reps on
+//!   Master's scoring choice, time `migrate` (best of N reps on
 //!   cloned tiers). The committed JSON keeps `baseline_migrate_wall_ms`
 //!   from the first recorded full run (the pre-optimization baseline) so
 //!   `improvement_pct` tracks data-plane work across PRs. Pass
@@ -32,7 +32,7 @@ use std::time::Instant;
 use elmem_bench::exp::{cluster_preset, Preset};
 use elmem_bench::sweep;
 use elmem_cluster::CacheTier;
-use elmem_core::migration::{migrate_scale_in, MigrationCosts};
+use elmem_core::migration::{migrate, MigrationCosts, MigrationRequest, Supervision};
 use elmem_core::{choose_retiring, plan_scale_in_shipments, Shipment};
 use elmem_store::ImportMode;
 use elmem_util::{KeyId, SimTime};
@@ -162,8 +162,18 @@ fn main() {
     for rep in 0..reps {
         let mut t = tier.clone();
         let t0 = Instant::now();
-        let r = migrate_scale_in(&mut t, &victims, now, &costs, ImportMode::Merge)
-            .expect("migration succeeds");
+        let r = migrate(
+            &mut t,
+            MigrationRequest::ScaleIn {
+                retiring: &victims,
+                import: ImportMode::Merge,
+            },
+            now,
+            &costs,
+            &mut Supervision::none(),
+            None,
+        )
+        .expect("migration succeeds");
         let wall = t0.elapsed().as_secs_f64();
         println!(
             "migrate rep {rep}: {} considered, {} migrated in {:.3}s",

@@ -9,7 +9,7 @@
 use elmem_bench::exp::{cluster_preset, workload_preset, Preset};
 use elmem_bench::sweep;
 use elmem_cluster::Cluster;
-use elmem_core::migration::{migrate_scale_in, MigrationCosts};
+use elmem_core::migration::{migrate, MigrationCosts, MigrationRequest, Supervision};
 use elmem_core::scoring::choose_retiring;
 use elmem_store::ImportMode;
 use elmem_util::{DetRng, SimTime};
@@ -46,12 +46,17 @@ fn main() {
         let costs = MigrationCosts::default();
         let (victims, _) = choose_retiring(&cluster.tier, 1).unwrap();
         let wall_start = std::time::Instant::now();
-        let report = migrate_scale_in(
+        let request = MigrationRequest::ScaleIn {
+            retiring: &victims,
+            import: ImportMode::Merge,
+        };
+        let report = migrate(
             &mut cluster.tier,
-            &victims,
+            request,
             SimTime::from_secs(200),
             &costs,
-            ImportMode::Merge,
+            &mut Supervision::none(),
+            None,
         )
         .expect("migration succeeds");
         (report, wall_start.elapsed())

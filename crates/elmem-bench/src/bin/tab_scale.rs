@@ -2,64 +2,39 @@
 //! of the full paper-scale scenario (a 100-node tier over the ~19 M-key
 //! ETC population), tracked in `results/BENCH_scale.json`.
 //!
-//! Three measurements:
+//! Two measurements:
 //!
-//! * **byte-identity cell** (always runs, in-process): a 32-node scenario
-//!   sized so every cluster-scale fast path is active — alias-table
-//!   sampling, the exact→MIMIR profiler switch, and the fan-out of
-//!   warm-up fill over `par_map_indexed` — executed once with 1 worker
-//!   and once with 4. The full digests (counters plus the golden
-//!   telemetry dump) must be **byte-identical**; the assertion is
-//!   unconditional, every run, whatever the core count.
-//! * **optimized column**: the headline run — diurnal demand with a
-//!   10%-of-tier scale-in and the matching scale-out — timed end to end
-//!   (keyspace + alias construction, 19 M-key warm-up fill, serving,
-//!   migrations). Headline: simulation events (fills + lookups) per
-//!   wall-clock second, plus peak RSS.
-//! * **pre-opt column**: the same scenario on the preserved
-//!   pre-optimization path — rejection-inversion Zipf sampling (alias
-//!   threshold pinned to `u64::MAX`), the preserved
-//!   [`LegacyExactStackDistance`](elmem_stackdist::LegacyExactStackDistance)
-//!   engine (SipHash maps + high-water Fenwick, never handing off to
-//!   MIMIR), and 1 worker.
-//!
-//! Each column runs in its **own child process** (the binary re-execs
-//! itself with a hidden `--column` flag): `VmHWM` is a per-process
-//! high-water mark, so per-column peak RSS is only meaningful from a
-//! fresh process — and the global fast-path knobs can never leak from
-//! one column into the other.
+//! * **headline run**: diurnal demand with a 10%-of-tier scale-in and the
+//!   matching scale-out — timed end to end (keyspace + alias construction,
+//!   19 M-key warm-up fill, serving, migrations). Headline: simulation
+//!   events (fills + lookups) per wall-clock second, plus peak RSS. It runs
+//!   first: `VmHWM` is a per-process high-water mark, so the peak read
+//!   right after it is the run's own.
+//! * **byte-identity cell** (always runs): a 32-node scenario sized so
+//!   every cluster-scale fast path is active — alias-table sampling, the
+//!   exact→MIMIR profiler switch, and the fan-out of warm-up fill over
+//!   `par_map_indexed` — executed once with 1 worker and once with 4. The
+//!   full digests (counters plus the golden telemetry dump) must be
+//!   **byte-identical**; the assertion is unconditional, every run,
+//!   whatever the core count.
 //!
 //! ## What full mode asserts (and what it only records)
 //!
-//! Unconditionally: the identity cell's byte-identity; both columns
-//! complete the same diurnal scenario (equal event counts, both scaling
-//! actions committed); the optimized column's throughput stays within a
-//! single-core timing-noise band of the pre-opt column's; and the
-//! profiler's **tracked-key population** is bounded — the optimized
-//! column ends at or under the exact→MIMIR switch threshold (+10% slack;
-//! MIMIR's rounder aging evicts retired buckets, so in practice it
-//! settles well below the ceiling) while the pre-opt legacy engine has
-//! grown past it (it keeps two map entries plus
-//! a high-water Fenwick slot for every distinct key it ever sees). The
-//! tracked-key counts are a deterministic function of the key stream, so
-//! this bounded-memory claim is machine-independent; peak process RSS is
-//! **recorded, not asserted** — both columns' RSS is dominated by the
-//! ~19 M-item store, and the optimized column also carries the ~152 MB
-//! alias table, so the process-level gap says little about the profiler.
-//!
-//! The wall-clock speedup is **recorded, not pinned to a target**: on a
-//! single-core host the serving base (cache-cold store walks shared by
-//! both columns) dominates end-to-end wall-clock, and the pre-opt
-//! inefficiencies this issue targeted — per-request allocation,
-//! unindexed event handling — were already gone at this repo's HEAD, so
-//! the honest end-to-end ratio is far smaller than the isolated
-//! component ratios (the observation path alone is ~3× cheaper, its
-//! state ~10× smaller; see DESIGN.md §15). `--smoke` shrinks the
-//! scenario to 32 nodes / 1 M keys for CI: it still runs all three
-//! measurements and the unconditional identity assertion, but never
-//! reads from — or overwrites — a committed full-mode results file, and
-//! skips the tracked-key and speedup assertions (at smoke scale both
-//! columns run an exact engine over the same small population).
+//! Unconditionally: the identity cell's byte-identity, and that the
+//! headline run commits both scaling actions. In full mode, the
+//! profiler's **tracked-key population** is bounded: the run ends at or
+//! under the exact→MIMIR switch threshold (+10% slack; MIMIR's rounder
+//! aging evicts retired buckets, so in practice it settles well below
+//! the ceiling). The tracked-key count is a deterministic function of the
+//! key stream, so this bounded-memory claim is machine-independent.
+//! Throughput and peak RSS are **recorded, not asserted**: the
+//! `perfbench` `diurnal_day` workload gates end-to-end wall-clock and
+//! memory at this scale against the previous commit. `--smoke` shrinks
+//! the scenario to 32 nodes / 1 M keys for CI: it still runs both
+//! measurements and the identity assertion, but never reads from — or
+//! overwrites — a committed full-mode results file, and skips the
+//! tracked-key assertion (its bound is stated for the production switch
+//! threshold).
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -76,21 +51,13 @@ use elmem_util::{SimTime, TelemetryConfig};
 use elmem_workload::{DemandTrace, Keyspace, WorkloadConfig};
 
 const RESULT_PATH: &str = "results/BENCH_scale.json";
-const SCHEMA: &str = "elmem-scale-v1";
+const SCHEMA: &str = "elmem-scale-v2";
 
-/// Slack on the optimized column's tracked-key bound: MIMIR may briefly
+/// Slack on the headline run's tracked-key bound: MIMIR may briefly
 /// hold one rotating bucket beyond the population it adopted at the
 /// switch, so allow the end-of-run count to exceed the switch threshold
 /// by this factor.
 const TRACKED_KEYS_SLACK: f64 = 1.10;
-
-/// Full mode pins the optimized column's events/sec to at worst this
-/// fraction of the pre-opt column's. The two columns are separated by far
-/// less than single-core timing noise end-to-end (the serving base
-/// dominates both; see the module docs), so this is a regression tripwire
-/// with a noise band, not a performance target — the recorded speedup and
-/// the tracked-key bound carry the actual claims.
-const SPEEDUP_NOISE_FLOOR: f64 = 0.90;
 
 /// One cluster-scale scenario: a diurnal day compressed into
 /// `7 × step_secs`, with a scale-in of a tenth of the tier at the demand
@@ -137,14 +104,6 @@ fn identity_scenario() -> Scenario {
     }
 }
 
-fn scenario_by_name(name: &str) -> Scenario {
-    match name {
-        "full" => full_scenario(),
-        "smoke" => smoke_scenario(),
-        other => panic!("unknown scenario {other:?}"),
-    }
-}
-
 fn experiment(sc: &Scenario) -> ExperimentConfig {
     let mut cluster = cluster_preset(Preset::Paper, sc.nodes);
     if sc.nodes < 100 {
@@ -158,8 +117,8 @@ fn experiment(sc: &Scenario) -> ExperimentConfig {
     }
     // The autoscaler observes every lookup (the paper's always-on Q1
     // monitoring — the stack-distance hot path this benchmark measures)
-    // but never decides: the scaling actions are scripted, so both
-    // measured runs execute the same diurnal scale-in/out.
+    // but never decides: the scaling actions are scripted, so every run
+    // executes the same diurnal scale-in/out.
     let mut scaler = AutoScalerConfig::new(cluster.r_db(), cluster.node_memory);
     scaler.min_observations = u64::MAX;
     scaler.max_nodes = sc.nodes + sc.nodes / 5;
@@ -194,9 +153,7 @@ fn run(cfg: ExperimentConfig) -> ExperimentResult {
 }
 
 /// Simulation events a run processes: the warm-up fills plus every served
-/// lookup. Both columns compute it from their own counters (their request
-/// *key* streams differ — the alias sampler spends its RNG differently —
-/// but arrivals, and therefore counts, match).
+/// lookup.
 fn events(sc: &Scenario, r: &ExperimentResult) -> u64 {
     sc.keys + r.total_requests * ITEMS_PER_REQUEST as u64
 }
@@ -225,103 +182,13 @@ fn digest(r: &ExperimentResult) -> String {
 fn thresholds_fast(switch_keys: u64) {
     elmem_workload::set_alias_threshold(1);
     elmem_stackdist::set_adaptive_switch_keys(switch_keys);
-    elmem_stackdist::set_legacy_exact(false);
-}
-
-/// Pins the preserved pre-optimization path: rejection-inversion Zipf
-/// sampling, the legacy exact stack-distance engine (never handing off
-/// to MIMIR), one worker.
-fn thresholds_preopt() {
-    elmem_workload::set_alias_threshold(u64::MAX);
-    elmem_stackdist::set_legacy_exact(true);
-    set_par_jobs(1);
 }
 
 /// Restores the production defaults (and the ambient worker count).
 fn thresholds_default() {
     elmem_workload::set_alias_threshold(elmem_workload::DEFAULT_ALIAS_THRESHOLD);
     elmem_stackdist::set_adaptive_switch_keys(elmem_stackdist::DEFAULT_ADAPTIVE_SWITCH_KEYS);
-    elmem_stackdist::set_legacy_exact(false);
     set_par_jobs(0);
-}
-
-/// One column's measurements, as reported by its child process.
-#[derive(Clone, Copy)]
-struct ColumnResult {
-    events: u64,
-    requests: u64,
-    scaling_events: u64,
-    profiler_keys: u64,
-    wall_s: f64,
-    peak_rss_mib: Option<f64>,
-}
-
-impl ColumnResult {
-    fn events_per_sec(&self) -> f64 {
-        self.events as f64 / self.wall_s
-    }
-}
-
-/// Child-process entry: run one column of one scenario and print a
-/// single machine-readable line for the parent.
-fn run_column(column: &str, scenario: &str) {
-    let sc = scenario_by_name(scenario);
-    match (column, scenario) {
-        ("opt", "full") => {} // production defaults: every fast path auto-engages
-        ("opt", _) => thresholds_fast(500_000),
-        ("pre", _) => thresholds_preopt(),
-        (other, _) => panic!("unknown column {other:?}"),
-    }
-    let t0 = Instant::now();
-    let r = run(experiment(&sc));
-    let wall = t0.elapsed().as_secs_f64();
-    let rss_mib = rss::peak_rss_bytes().map(|b| b as f64 / (1 << 20) as f64);
-    println!(
-        "COLUMN {{\"events\":{},\"requests\":{},\"scaling_events\":{},\"profiler_keys\":{},\"wall_s\":{:.3},\"peak_rss_mib\":{}}}",
-        events(&sc, &r),
-        r.total_requests,
-        r.events.len(),
-        r.profiler_tracked_keys,
-        wall,
-        rss_mib.map_or("null".into(), |m| format!("{m:.1}")),
-    );
-}
-
-/// Re-execs this binary to run one column in a fresh process (clean
-/// `VmHWM`, clean global knobs) and parses its report line.
-fn spawn_column(column: &str, scenario: &str) -> ColumnResult {
-    let exe = std::env::current_exe().expect("own executable path");
-    let out = std::process::Command::new(exe)
-        .args(["--column", column, "--scenario", scenario])
-        .output()
-        .expect("spawn column child");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "column {column} child failed:\n{stdout}\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let line = stdout
-        .lines()
-        .find_map(|l| l.strip_prefix("COLUMN "))
-        .expect("column child printed a COLUMN line");
-    let field = |name: &str| -> Option<f64> {
-        let pat = format!("\"{name}\":");
-        let start = line.find(&pat)? + pat.len();
-        let rest = &line[start..];
-        let end = rest
-            .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-            .unwrap_or(rest.len());
-        rest[..end].parse().ok()
-    };
-    ColumnResult {
-        events: field("events").expect("events") as u64,
-        requests: field("requests").expect("requests") as u64,
-        scaling_events: field("scaling_events").expect("scaling_events") as u64,
-        profiler_keys: field("profiler_keys").expect("profiler_keys") as u64,
-        wall_s: field("wall_s").expect("wall_s"),
-        peak_rss_mib: field("peak_rss_mib"),
-    }
 }
 
 /// The previously committed full-mode baseline, if any (smoke records are
@@ -346,16 +213,6 @@ fn fmt_opt(v: Option<f64>) -> String {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(i) = args.iter().position(|a| a == "--column") {
-        let column = args.get(i + 1).expect("--column <opt|pre>").clone();
-        let j = args
-            .iter()
-            .position(|a| a == "--scenario")
-            .expect("--scenario <full|smoke>");
-        let scenario = args.get(j + 1).expect("--scenario <full|smoke>").clone();
-        run_column(&column, &scenario);
-        return;
-    }
     let smoke = args.iter().any(|a| a == "--smoke");
     let rebaseline = args.iter().any(|a| a == "--rebaseline");
     let jobs = sweep::jobs_from_cli();
@@ -366,7 +223,57 @@ fn main() {
     );
     println!("cores={cores} jobs={jobs}\n");
 
-    // -- 1. Byte-identity: 1 worker vs 4, all fast paths active. -----------
+    // -- 1. The headline run, first, so the peak RSS is its own. -----------
+    let name = if smoke { "smoke" } else { "full" };
+    let sc = if smoke {
+        smoke_scenario()
+    } else {
+        full_scenario()
+    };
+    println!(
+        "scenario: {} nodes, {} keys, peak {} req/s, diurnal {}s",
+        sc.nodes,
+        sc.keys,
+        sc.peak_rate,
+        7 * sc.step_secs
+    );
+    // Full mode keeps the production defaults: every fast path
+    // auto-engages at paper scale.
+    if smoke {
+        thresholds_fast(500_000);
+    }
+    let t0 = Instant::now();
+    let r = run(experiment(&sc));
+    let wall_s = t0.elapsed().as_secs_f64();
+    let peak_rss_mib = rss::peak_rss_bytes().map(|b| b as f64 / (1 << 20) as f64);
+    thresholds_default();
+    let (events, requests) = (events(&sc, &r), r.total_requests);
+    let (scaling_events, profiler_keys) = (r.events.len(), r.profiler_tracked_keys);
+    drop(r);
+    let events_per_sec = events as f64 / wall_s;
+    println!(
+        "headline: {events} events ({requests} requests, {scaling_events} scaling events) in \
+         {wall_s:.1}s = {events_per_sec:.0} events/s, profiler tracks {profiler_keys} keys, \
+         peak RSS {} MiB",
+        fmt_opt(peak_rss_mib),
+    );
+    assert_eq!(
+        scaling_events, 2,
+        "the diurnal scale-in and scale-out must both commit"
+    );
+    let switch_keys = elmem_stackdist::DEFAULT_ADAPTIVE_SWITCH_KEYS;
+    if !smoke {
+        // The bounded-memory claim, in its deterministic form: at ETC
+        // scale the adaptive profiler's population stays pinned near the
+        // switch threshold.
+        let bound = (switch_keys as f64 * TRACKED_KEYS_SLACK) as u64;
+        assert!(
+            profiler_keys as u64 <= bound,
+            "adaptive profiler tracks {profiler_keys} keys, above its {bound}-key bound"
+        );
+    }
+
+    // -- 2. Byte-identity: 1 worker vs 4, all fast paths active. -----------
     let idc = identity_scenario();
     thresholds_fast(50_000);
     set_par_jobs(1);
@@ -384,125 +291,32 @@ fn main() {
         "parallel fill/probe fan-out must be byte-identical to serial"
     );
 
-    // -- 2. The two columns, each in a fresh child process. -----------------
-    let name = if smoke { "smoke" } else { "full" };
-    let sc = scenario_by_name(name);
-    println!(
-        "\nscenario: {} nodes, {} keys, peak {} req/s, diurnal {}s",
-        sc.nodes,
-        sc.keys,
-        sc.peak_rate,
-        7 * sc.step_secs
-    );
-    let opt = spawn_column("opt", name);
-    println!(
-        "optimized: {} events ({} requests, {} scaling events) in {:.1}s = {:.0} events/s, \
-         profiler tracks {} keys, peak RSS {} MiB",
-        opt.events,
-        opt.requests,
-        opt.scaling_events,
-        opt.wall_s,
-        opt.events_per_sec(),
-        opt.profiler_keys,
-        fmt_opt(opt.peak_rss_mib),
-    );
-    let pre = spawn_column("pre", name);
-    println!(
-        "pre-opt:   {} events ({} requests, {} scaling events) in {:.1}s = {:.0} events/s, \
-         profiler tracks {} keys, peak RSS {} MiB",
-        pre.events,
-        pre.requests,
-        pre.scaling_events,
-        pre.wall_s,
-        pre.events_per_sec(),
-        pre.profiler_keys,
-        fmt_opt(pre.peak_rss_mib),
-    );
-    let speedup = opt.events_per_sec() / pre.events_per_sec();
-    println!(
-        "speedup: {speedup:.2}x events/sec over the pre-opt path; profiler population \
-         {} (bounded) vs {} (legacy, grows with every distinct key)",
-        opt.profiler_keys, pre.profiler_keys
-    );
-
-    // -- 3. The claims every run pins. --------------------------------------
-    assert_eq!(
-        opt.events, pre.events,
-        "both columns must complete the same scenario end-to-end"
-    );
-    for (label, col) in [("optimized", &opt), ("pre-opt", &pre)] {
-        assert_eq!(
-            col.scaling_events, 2,
-            "{label}: the diurnal scale-in and scale-out must both commit"
-        );
-    }
-    let switch_keys = elmem_stackdist::DEFAULT_ADAPTIVE_SWITCH_KEYS;
-    if !smoke {
-        assert!(
-            speedup >= SPEEDUP_NOISE_FLOOR,
-            "optimized column regressed below the pre-opt path \
-             ({speedup:.2}x < {SPEEDUP_NOISE_FLOOR}x noise floor)"
-        );
-        // The bounded-memory claim, in its deterministic form: at ETC
-        // scale the adaptive profiler's population stays pinned near the
-        // switch threshold while the legacy engine's has grown past it.
-        let bound = (switch_keys as f64 * TRACKED_KEYS_SLACK) as u64;
-        assert!(
-            opt.profiler_keys <= bound,
-            "adaptive profiler tracks {} keys, above its {bound}-key bound",
-            opt.profiler_keys
-        );
-        assert!(
-            pre.profiler_keys > switch_keys,
-            "legacy profiler tracks only {} keys — the scenario no longer \
-             exercises unbounded growth past the {switch_keys}-key threshold",
-            pre.profiler_keys
-        );
-    }
-
-    // The committed baseline is the full-mode pre-opt rate: the number
-    // future PRs regress the optimized rate against.
+    // The committed baseline is the first recorded full-mode rate.
     let baseline = if smoke || rebaseline {
-        pre.events_per_sec()
+        events_per_sec
     } else {
-        read_baseline().unwrap_or(pre.events_per_sec())
+        read_baseline().unwrap_or(events_per_sec)
     };
-    let improvement = opt.events_per_sec() / baseline;
 
-    // -- 4. Emit results/BENCH_scale.json. ----------------------------------
+    // -- 3. Emit results/BENCH_scale.json. ----------------------------------
     let mut doc = String::new();
     let _ = write!(
         doc,
         "{{\"schema\":\"{SCHEMA}\",\"mode\":\"{name}\",\"jobs\":{jobs},\"cores\":{cores},\
          \"scenario\":{{\"nodes\":{},\"keys\":{},\"peak_rate\":{:.0},\"trace_secs\":{}}},\
-         \"optimized\":{{\"events\":{},\"requests\":{},\"wall_ms\":{:.1},\
-         \"events_per_sec\":{:.1},\"profiler_keys\":{},\"peak_rss_mib\":{}}},\
-         \"preopt\":{{\"events\":{},\"requests\":{},\"wall_ms\":{:.1},\
-         \"events_per_sec\":{:.1},\"profiler_keys\":{},\"peak_rss_mib\":{}}},\
-         \"speedup\":{:.3},\"profiler_switch_keys\":{},\
-         \"baseline_events_per_sec\":{:.1},\"vs_baseline\":{:.3},\
+         \"events\":{events},\"requests\":{requests},\"wall_ms\":{:.1},\
+         \"events_per_sec\":{events_per_sec:.1},\"profiler_keys\":{profiler_keys},\
+         \"peak_rss_mib\":{},\"profiler_switch_keys\":{switch_keys},\
+         \"baseline_events_per_sec\":{baseline:.1},\"vs_baseline\":{:.3},\
          \"identity\":{{\"byte_identical\":{byte_identical},\"workers\":[1,4],\
          \"nodes\":{},\"keys\":{}}}}}",
         sc.nodes,
         sc.keys,
         sc.peak_rate,
         7 * sc.step_secs,
-        opt.events,
-        opt.requests,
-        opt.wall_s * 1000.0,
-        opt.events_per_sec(),
-        opt.profiler_keys,
-        fmt_opt(opt.peak_rss_mib),
-        pre.events,
-        pre.requests,
-        pre.wall_s * 1000.0,
-        pre.events_per_sec(),
-        pre.profiler_keys,
-        fmt_opt(pre.peak_rss_mib),
-        speedup,
-        switch_keys,
-        baseline,
-        improvement,
+        wall_s * 1000.0,
+        fmt_opt(peak_rss_mib),
+        events_per_sec / baseline,
         idc.nodes,
         idc.keys,
     );
@@ -517,13 +331,4 @@ fn main() {
         std::fs::write(RESULT_PATH, &doc).expect("write BENCH_scale.json");
         println!("\nwrote {RESULT_PATH}");
     }
-
-    println!(
-        "Interpretation: the optimized column runs the alias-table sampler, \
-         the adaptive (exact->MIMIR) profiler and the fan-out warm-up fill; \
-         the pre-opt column pins the preserved serial \
-         rejection-sampling/legacy-Fenwick path. Same scenario, same \
-         machine, separate processes — the events/sec ratio is the \
-         end-to-end win and the tracked-key gap is the bounded-memory win."
-    );
 }

@@ -160,7 +160,7 @@ impl Cluster {
     ///
     /// An unreachable owner (crashed, powered off, partitioned) or one so
     /// slow-linked that a get would outlast `client_timeout` goes through
-    /// [`Self::failover`]: the client pays the timeout (unless the node's
+    /// `Self::failover`: the client pays the timeout (unless the node's
     /// breaker is already open) and fetches from the database instead.
     pub fn lookup_and_fill(&mut self, key: KeyId, now: SimTime) -> (SimTime, bool) {
         let Some(node_id) = self.tier.node_for_key(key) else {

@@ -209,9 +209,8 @@ impl AutoScaler {
         self.warm
     }
 
-    /// Distinct keys the stack-distance engine currently tracks. Bounded
-    /// by the exact→MIMIR switch threshold for the adaptive engine;
-    /// grows with every distinct key ever observed for the legacy one.
+    /// Distinct keys the stack-distance engine currently tracks, bounded
+    /// by the exact→MIMIR switch threshold.
     pub fn profiler_tracked_keys(&self) -> usize {
         self.engine.tracked_keys()
     }

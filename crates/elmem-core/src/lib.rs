@@ -66,10 +66,10 @@ pub use journal::{
 };
 pub use master::{Admission, DeferredAction, DeferredKind, JobKind, Master, Orchestration};
 pub use migration::{
-    migrate_scale_in, migrate_scale_in_journaled, migrate_scale_in_supervised, migrate_scale_out,
-    migrate_scale_out_journaled, plan_scale_in_shipments, set_planning_jobs, AbortCause,
-    MigrationCosts, MigrationOutcome, MigrationPhase, MigrationReport, PhaseBreakdown,
-    PhaseDeadlines, PlanStats, ResumePoint, RetryPolicy, Shipment, Supervision, MIGRATION_JOBS_ENV,
+    migrate, migrate_naive_scale_in, plan_scale_in_shipments, set_planning_jobs, AbortCause,
+    MigrationCosts, MigrationOutcome, MigrationPhase, MigrationReport, MigrationRequest,
+    PhaseBreakdown, PhaseDeadlines, PlanStats, ResumePoint, RetryPolicy, Shipment, Supervision,
+    MIGRATION_JOBS_ENV,
 };
 pub use predictive::{PredictiveAutoScaler, PredictiveConfig};
 pub use telemetry::{

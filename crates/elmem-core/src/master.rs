@@ -15,8 +15,8 @@ use elmem_util::{DetRng, ElmemError, NodeId, SimTime};
 use crate::healing::{HealingConfig, ReplacementPolicy};
 use crate::journal::MigrationJournal;
 use crate::migration::{
-    migrate_naive_scale_in, migrate_scale_in_journaled, migrate_scale_out,
-    migrate_scale_out_journaled, MigrationCosts, MigrationOutcome, MigrationReport, Supervision,
+    migrate, migrate_naive_scale_in, MigrationCosts, MigrationOutcome, MigrationReport,
+    MigrationRequest, Supervision,
 };
 use crate::policies::MigrationPolicy;
 use crate::scoring::choose_retiring;
@@ -313,15 +313,17 @@ impl Master {
             MigrationPolicy::ElMem { import } => {
                 let (victims, _) = choose_retiring(&cluster.tier, count as usize)?;
                 let id = self.next_id();
-                let report = migrate_scale_in_journaled(
+                let request = MigrationRequest::ScaleIn {
+                    retiring: &victims,
+                    import,
+                };
+                let report = migrate(
                     &mut cluster.tier,
-                    &victims,
+                    request,
                     now,
                     &self.costs,
-                    import,
                     supervision,
-                    &mut self.journal,
-                    id,
+                    Some((&mut self.journal, id)),
                 )?;
                 let committed_at = report.completed;
                 self.track_job(id, JobKind::ScaleIn, &victims, now, committed_at);
@@ -453,15 +455,13 @@ impl Master {
         let orch = match self.policy {
             MigrationPolicy::ElMem { .. } => {
                 let id = self.next_id();
-                let master_plan = supervision.master.clone();
-                let report = migrate_scale_out_journaled(
+                let report = migrate(
                     &mut cluster.tier,
-                    &ids,
+                    MigrationRequest::ScaleOut { new_nodes: &ids },
                     now,
                     &self.costs,
-                    &master_plan,
-                    &mut self.journal,
-                    id,
+                    supervision,
+                    Some((&mut self.journal, id)),
                 )?;
                 let committed_at = report.completed;
                 self.track_job(id, JobKind::ScaleOut, &ids, now, committed_at);
@@ -570,7 +570,14 @@ impl Master {
             // already the recovery action for a failure, and stacking a
             // Master-crash resume inside it buys nothing — a crashed-out
             // warmup just re-runs (DESIGN.md §13).
-            let report = migrate_scale_out(&mut cluster.tier, &ids, now, &self.costs)?;
+            let report = migrate(
+                &mut cluster.tier,
+                MigrationRequest::ScaleOut { new_nodes: &ids },
+                now,
+                &self.costs,
+                supervision,
+                None,
+            )?;
             let committed_at = report.completed;
             let recovery_id = self.next_id();
             self.track_job(recovery_id, JobKind::Recovery, &ids, now, committed_at);

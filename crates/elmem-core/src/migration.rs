@@ -289,7 +289,7 @@ impl RetryPolicy {
 /// Supervision context for a migration: deadlines, the retry budget, and
 /// (optionally) the fault injector whose scheduled crashes and sampled
 /// drops the supervisor consults. [`Supervision::none`] supervises
-/// nothing — the unsupervised entry points use it.
+/// nothing.
 #[derive(Debug)]
 pub struct Supervision<'a> {
     /// Per-phase wall-clock budgets.
@@ -298,8 +298,8 @@ pub struct Supervision<'a> {
     pub retry: RetryPolicy,
     /// The experiment's fault injector, when faults are being injected.
     pub faults: Option<&'a mut FaultInjector>,
-    /// Scheduled Master crashes and the restart/recovery policy. Only the
-    /// journaled entry points consult it; the default plan never crashes.
+    /// Scheduled Master crashes and the restart/recovery policy. Only a
+    /// journaled [`migrate`] consults it; the default plan never crashes.
     pub master: MasterPlan,
 }
 
@@ -347,9 +347,52 @@ impl<'a> Supervision<'a> {
     }
 }
 
-/// How the destination merges migrated items (ElMem uses `Merge`; the
-/// Naive comparator uses `Prepend` — see `policies`).
-pub use elmem_store::ImportMode as MigrationImportMode;
+/// What one [`migrate`] call moves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MigrationRequest<'a> {
+    /// The 3-phase scale-in (§III-D): drain `retiring` onto the retained
+    /// members, which merge the FuseCache-chosen items per `import`
+    /// (ElMem uses `Merge`).
+    ScaleIn {
+        /// The members being retired.
+        retiring: &'a [NodeId],
+        /// How the destinations merge migrated items.
+        import: ImportMode,
+    },
+    /// The scale-out (§III-D4): every member ships the keys that hash to
+    /// `new_nodes` under the expanded membership. The new nodes must
+    /// already be provisioned (online, outside the membership).
+    ScaleOut {
+        /// The provisioned nodes being filled.
+        new_nodes: &'a [NodeId],
+    },
+}
+
+impl<'a> MigrationRequest<'a> {
+    /// The nodes being retired or added.
+    fn nodes(&self) -> &'a [NodeId] {
+        match *self {
+            MigrationRequest::ScaleIn { retiring, .. } => retiring,
+            MigrationRequest::ScaleOut { new_nodes } => new_nodes,
+        }
+    }
+
+    fn kind(&self) -> MigrationKind {
+        match self {
+            MigrationRequest::ScaleIn { .. } => MigrationKind::ScaleIn,
+            MigrationRequest::ScaleOut { .. } => MigrationKind::ScaleOut,
+        }
+    }
+
+    fn validate(&self, tier: &CacheTier) -> Result<(), ElmemError> {
+        match *self {
+            MigrationRequest::ScaleIn { retiring, .. } => {
+                validate_retiring(tier.membership().members(), retiring)
+            }
+            MigrationRequest::ScaleOut { new_nodes } => validate_scale_out(tier, new_nodes),
+        }
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Planning fast path
@@ -393,6 +436,17 @@ fn auto_planning_jobs() -> usize {
 /// migrate faster than worker threads spawn.
 const PAR_MIN_ITEMS: u64 = 32_768;
 
+/// The planner's jobs rule for one stage over `items` items: an explicit
+/// `jobs` is used as is; `0` resolves automatically and keeps stages under
+/// [`PAR_MIN_ITEMS`] on the serial path.
+fn stage_jobs(jobs: usize, items: u64) -> usize {
+    match jobs {
+        0 if items < PAR_MIN_ITEMS => 1,
+        0 => auto_planning_jobs(),
+        n => n,
+    }
+}
+
 /// One planned phase-3 shipment: the `take` hottest of the items a source
 /// routed to one (target, class) cell.
 ///
@@ -418,17 +472,14 @@ pub struct Shipment {
 }
 
 impl Shipment {
-    /// Seals a whole item list as one shipment (`take` = everything) —
-    /// the scale-out path, where no FuseCache prefix is chosen.
-    pub(crate) fn sealed(
+    /// Seals the `take`-item prefix of `items` as one shipment.
+    fn sealed(
         seq: u64,
-        source: NodeId,
-        target: NodeId,
-        class: ClassId,
+        (source, target, class): (NodeId, NodeId, ClassId),
         items: Vec<ItemMeta>,
+        take: usize,
     ) -> Self {
-        let take = items.len();
-        let checksum = shipment_checksum(&items);
+        let checksum = shipment_checksum(&items[..take]);
         Shipment {
             seq,
             source,
@@ -590,6 +641,55 @@ fn route_sources(
     .collect()
 }
 
+/// Phase 1's routing folded into FuseCache's inputs: per-source dump
+/// sizes plus the inbound lists of every (target, class) cell.
+struct Routed {
+    /// Each retiring source with its dumped item count, in retiring order.
+    sources: Vec<(NodeId, u64)>,
+    /// (target, class) → (source, items) lists, sources in retiring order.
+    inbound: InboundMap,
+    /// The cells of `inbound`, sorted.
+    dest_keys: Vec<(NodeId, ClassId)>,
+    /// Items dumped across all sources.
+    items_considered: u64,
+}
+
+/// Routes every retiring source ([`route_sources`], under the planner's
+/// jobs rule) and folds the per-source lists into per-cell inbound lists.
+fn route_inbound(tier: &CacheTier, retiring: &[NodeId], jobs: usize) -> Result<Routed, ElmemError> {
+    let retained_ring = tier.membership().ring().without(retiring);
+    let retiring_items: u64 = retiring
+        .iter()
+        .filter_map(|&id| tier.node(id).ok())
+        .map(|n| n.store.len())
+        .sum();
+    let routed = route_sources(
+        tier,
+        retiring,
+        &retained_ring,
+        stage_jobs(jobs, retiring_items),
+    )?;
+    let mut out = Routed {
+        sources: Vec::with_capacity(retiring.len()),
+        inbound: HashMap::new(),
+        dest_keys: Vec::new(),
+        items_considered: 0,
+    };
+    for (&src, routed_src) in retiring.iter().zip(routed) {
+        out.sources.push((src, routed_src.n_items));
+        out.items_considered += routed_src.n_items;
+        for ((target, class), items) in routed_src.per_target {
+            out.inbound
+                .entry((target, class))
+                .or_default()
+                .push((src, items));
+        }
+    }
+    out.dest_keys = out.inbound.keys().copied().collect();
+    out.dest_keys.sort_unstable();
+    Ok(out)
+}
+
 /// One FuseCache work unit: the inbound source lists one (target, class)
 /// destination cell compares against its own MRU list.
 struct PlanCell {
@@ -635,16 +735,21 @@ struct CellOutcome {
 }
 
 /// Converts routed inbound lists into the phase-3 shipment plan: one
-/// FuseCache selection per (target, class) cell, fanned out over `jobs`
-/// workers, results reassembled in `dest_keys` (sorted) order so the plan
-/// is byte-identical to a serial pass. Each cell's chosen items are moved
-/// — not cloned — into the plan.
+/// FuseCache selection per (target, class) cell, fanned out under the
+/// planner's jobs rule, results reassembled in `dest_keys` (sorted) order
+/// so the plan is byte-identical to a serial pass. Each cell's chosen
+/// items are moved — not cloned — into the plan.
 fn build_shipments(
     tier: &CacheTier,
-    dest_keys: &[(NodeId, ClassId)],
-    mut inbound: InboundMap,
+    routed: Routed,
     jobs: usize,
 ) -> Result<CellOutcome, ElmemError> {
+    let Routed {
+        mut inbound,
+        dest_keys,
+        items_considered,
+        ..
+    } = routed;
     let cells: Vec<PlanCell> = dest_keys
         .iter()
         .map(|&(target, class)| {
@@ -660,7 +765,9 @@ fn build_shipments(
             })
         })
         .collect::<Result<_, ElmemError>>()?;
-    let picks = par_map_indexed(jobs, &cells, |_, cell| fuse_cell(tier, cell));
+    let picks = par_map_indexed(stage_jobs(jobs, items_considered), &cells, |_, cell| {
+        fuse_cell(tier, cell)
+    });
     let mut outcome = CellOutcome {
         plan: Vec::new(),
         per_dest_comparisons: HashMap::new(),
@@ -685,16 +792,11 @@ fn build_shipments(
             })?;
             let take = pick.min(items.len());
             if take > 0 {
-                let checksum = shipment_checksum(&items[..take]);
-                outcome.plan.push(Shipment {
-                    seq: outcome.plan.len() as u64,
-                    source,
-                    target: cell.target,
-                    class: cell.class,
-                    items,
-                    take,
-                    checksum,
-                });
+                let seq = outcome.plan.len() as u64;
+                let cell_id = (source, cell.target, cell.class);
+                outcome
+                    .plan
+                    .push(Shipment::sealed(seq, cell_id, items, take));
             }
         }
     }
@@ -705,6 +807,8 @@ fn build_shipments(
 /// §III-D2's FuseCache selection — without mutating the tier, charging
 /// simulated time, or shipping anything: the pure function the data-plane
 /// benchmark times and whose parallel/serial byte-identity the tests pin.
+/// A scale-in [`migrate`] plans through the same routing and FuseCache
+/// stages, so its sealed plan equals this one.
 ///
 /// `jobs` is the worker-thread count for both stages; `0` resolves
 /// automatically ([`set_planning_jobs`], else [`MIGRATION_JOBS_ENV`], else
@@ -714,83 +818,22 @@ fn build_shipments(
 ///
 /// # Errors
 ///
-/// Same validation as [`migrate_scale_in`].
+/// Same validation as [`migrate`] with [`MigrationRequest::ScaleIn`].
 pub fn plan_scale_in_shipments(
     tier: &CacheTier,
     retiring: &[NodeId],
     jobs: usize,
 ) -> Result<(Vec<Shipment>, PlanStats), ElmemError> {
     validate_retiring(tier.membership().members(), retiring)?;
-    let retained_ring = tier.membership().ring().without(retiring);
-    let auto = jobs == 0;
-    let jobs = if auto { auto_planning_jobs() } else { jobs };
-    let retiring_items: u64 = retiring
-        .iter()
-        .filter_map(|&id| tier.node(id).ok())
-        .map(|n| n.store.len())
-        .sum();
-    let route_jobs = if auto && retiring_items < PAR_MIN_ITEMS {
-        1
-    } else {
-        jobs
+    let routed = route_inbound(tier, retiring, jobs)?;
+    let (items_considered, cells) = (routed.items_considered, routed.dest_keys.len());
+    let outcome = build_shipments(tier, routed, jobs)?;
+    let stats = PlanStats {
+        items_considered,
+        cells,
+        comparisons: outcome.comparisons,
     };
-    let routed = route_sources(tier, retiring, &retained_ring, route_jobs)?;
-    let mut items_considered = 0u64;
-    let mut inbound: InboundMap = HashMap::new();
-    for (&src, routed_src) in retiring.iter().zip(routed) {
-        items_considered += routed_src.n_items;
-        for ((target, class), items) in routed_src.per_target {
-            inbound
-                .entry((target, class))
-                .or_default()
-                .push((src, items));
-        }
-    }
-    let mut dest_keys: Vec<(NodeId, ClassId)> = inbound.keys().copied().collect();
-    dest_keys.sort_unstable();
-    let fuse_jobs = if auto && items_considered < PAR_MIN_ITEMS {
-        1
-    } else {
-        jobs
-    };
-    let outcome = build_shipments(tier, &dest_keys, inbound, fuse_jobs)?;
-    Ok((
-        outcome.plan,
-        PlanStats {
-            items_considered,
-            cells: dest_keys.len(),
-            comparisons: outcome.comparisons,
-        },
-    ))
-}
-
-/// Executes the 3-phase scale-in migration: moves the globally hottest
-/// subset of each retiring node's data to the retained nodes.
-///
-/// Does **not** flip the membership — the caller commits the scaling at
-/// `report.completed` (requests keep being served by the old membership
-/// during the migration, exactly as in the paper).
-///
-/// # Errors
-///
-/// * [`ElmemError::InvalidScaling`] if `retiring` is empty or would empty
-///   the membership;
-/// * [`ElmemError::UnknownNode`] if a retiring id is not a member.
-pub fn migrate_scale_in(
-    tier: &mut CacheTier,
-    retiring: &[NodeId],
-    now: SimTime,
-    costs: &MigrationCosts,
-    import_mode: ImportMode,
-) -> Result<MigrationReport, ElmemError> {
-    migrate_scale_in_supervised(
-        tier,
-        retiring,
-        now,
-        costs,
-        import_mode,
-        &mut Supervision::none(),
-    )
+    Ok((outcome.plan, stats))
 }
 
 /// Typed node access during migration: a member that cannot be reached
@@ -805,52 +848,173 @@ fn live_node_mut(tier: &mut CacheTier, id: NodeId) -> Result<&mut CacheNode, Elm
         .map_err(|_| ElmemError::NodeUnavailable(id.0))
 }
 
-/// Builds the terminal outcome for an aborted migration attempt:
-/// `completed` is the abort instant (never before `started`).
-#[allow(clippy::too_many_arguments)]
-fn aborted(
-    started: SimTime,
-    at: SimTime,
-    phases: PhaseBreakdown,
-    phase: MigrationPhase,
-    cause: AbortCause,
-    items_migrated: u64,
-    bytes_migrated: ByteSize,
-    metadata_bytes: ByteSize,
-    items_considered: u64,
-    transfer_retries: u32,
-) -> ExecOutcome {
-    ExecOutcome::Done(MigrationReport {
-        started,
-        completed: at.max(started),
-        phases,
-        items_migrated,
-        bytes_migrated,
-        metadata_bytes,
-        items_considered,
-        outcome: MigrationOutcome::Aborted { phase, cause },
-        transfer_retries,
-        resumes: Vec::new(),
-    })
+// ---------------------------------------------------------------------------
+// The migration entry point and its crash-recoverable attempts (DESIGN.md §13)
+//
+// [`migrate`] runs *attempts* of a migration. Journaled, an attempt under a
+// scheduled Master crash stops at the first boundary the crash precedes and
+// returns [`ExecOutcome::Interrupted`]; `migrate` then truncates the
+// journal to what was durable at the crash instant, replays it, and
+// launches the next attempt — resuming from the sealed manifest when the
+// crash landed after phase 2, or replanning from scratch when it landed
+// earlier (phases 1–2 never mutate any store, so a pre-seal replan
+// reproduces the identical plan from the unmutated sources). Unjournaled,
+// no Master crash is consulted and the single attempt always runs to a
+// terminal report.
+// ---------------------------------------------------------------------------
+
+/// Runs one migration to its terminal report: the one entry point for
+/// ElMem's scale-in and scale-out (the Naive comparator has its own,
+/// [`migrate_naive_scale_in`]).
+///
+/// Does **not** flip the membership — the caller commits the scaling at
+/// `report.completed` (requests keep being served by the old membership
+/// during the migration, exactly as in the paper).
+///
+/// A scale-in runs under `supervision`: per-phase deadlines, bounded
+/// exponential-backoff retries for dropped shipments, and clean aborts
+/// when a source or destination crashes mid-flight. On an abort the
+/// function still returns `Ok`: the report's `outcome` is
+/// [`MigrationOutcome::Aborted`] with the phase the fault landed in and
+/// its cause, `completed` is the abort instant, and any phase-3 imports
+/// already applied are **kept** (they are strictly-hotter data already on
+/// healthy retained nodes). The caller — the Master — decides the
+/// fallback: commit the scaling without further migration, excluding
+/// crashed nodes from the retained membership. A scale-out draws nothing
+/// from the fault injector.
+///
+/// With `journal = Some((journal, id))` the migration journals its
+/// progress under job `id`, and a Master crash scheduled in
+/// `supervision.master` interrupts the attempt; per the recovery policy
+/// the Master then replays the journal and resumes from the last durable
+/// point (or aborts). With no scheduled crashes the report and stores are
+/// byte-for-byte those of an unjournaled run. With `None` the migration
+/// runs one attempt, never consults `supervision.master`, and imports
+/// bypass the destinations' import ledgers.
+///
+/// # Errors
+///
+/// * [`ElmemError::InvalidScaling`] if the node list is empty, a scale-in
+///   would empty the membership, or a new node is already a member;
+/// * [`ElmemError::UnknownNode`] if a retiring id is not a member or a new
+///   node is not provisioned;
+/// * [`ElmemError::NodeUnavailable`] if a node vanishes from the tier
+///   mid-computation.
+pub fn migrate(
+    tier: &mut CacheTier,
+    request: MigrationRequest<'_>,
+    now: SimTime,
+    costs: &MigrationCosts,
+    supervision: &mut Supervision<'_>,
+    mut journal: Option<(&mut MigrationJournal, u64)>,
+) -> Result<MigrationReport, ElmemError> {
+    // Validate before journaling Started: a rejected request never
+    // existed as far as the journal is concerned.
+    request.validate(tier)?;
+    if let Some((journal, id)) = journal.as_mut() {
+        journal.append(
+            now,
+            JournalRecord::Started {
+                id: *id,
+                kind: request.kind(),
+                nodes: request.nodes().to_vec(),
+                at: now,
+            },
+        );
+    }
+    let mut resumes: Vec<ResumePoint> = Vec::new();
+    let mut resume: Option<ReplayState> = None;
+    let mut attempt_start = now;
+    loop {
+        let ctl = ExecCtl {
+            master_crash: supervision
+                .master
+                .next_crash_after(attempt_start)
+                .filter(|_| journal.is_some()),
+            journal: journal.as_mut().map(|(j, id)| (&mut **j, *id)),
+            resume: resume.take(),
+        };
+        let outcome = match request {
+            MigrationRequest::ScaleIn { retiring, import } => exec_scale_in(
+                tier,
+                retiring,
+                attempt_start,
+                costs,
+                import,
+                supervision,
+                ctl,
+            )?,
+            MigrationRequest::ScaleOut { new_nodes } => {
+                exec_scale_out(tier, new_nodes, attempt_start, costs, ctl)?
+            }
+        };
+        let (at, phase) = match outcome {
+            ExecOutcome::Done(mut report) => {
+                // The report spans the whole journey: `started` is the
+                // original trigger, `phases` the final attempt.
+                report.started = now;
+                report.resumes = resumes;
+                if let Some((journal, id)) = journal {
+                    let terminal = if report.outcome.is_completed() {
+                        JournalRecord::Committed {
+                            id,
+                            at: report.completed,
+                        }
+                    } else {
+                        JournalRecord::Aborted {
+                            id,
+                            at: report.completed,
+                        }
+                    };
+                    journal.append(report.completed, terminal);
+                }
+                return Ok(report);
+            }
+            ExecOutcome::Interrupted { at, phase } => (at, phase),
+        };
+        let Some((journal, id)) = journal.as_mut() else {
+            return Err(unjournaled_interrupt());
+        };
+        let id = *id;
+        // The crash eats every record not yet durable at `at`.
+        journal.discard_after(at);
+        let resumed_at = at + supervision.master.restart_delay;
+        resumes.push(ResumePoint {
+            crashed_at: at,
+            resumed_at,
+            phase,
+        });
+        if supervision.master.recovery == MasterRecovery::Abort {
+            journal.append(resumed_at, JournalRecord::Aborted { id, at: resumed_at });
+            let cause = AbortCause::MasterCrashed;
+            let mut report =
+                Progress::new(now).report(resumed_at, MigrationOutcome::Aborted { phase, cause });
+            report.resumes = resumes;
+            return Ok(report);
+        }
+        resume = Some(journal.replay(id));
+        journal.append(
+            resumed_at,
+            JournalRecord::Resumed {
+                id,
+                at: resumed_at,
+                phase,
+            },
+        );
+        attempt_start = resumed_at;
+    }
 }
 
-// ---------------------------------------------------------------------------
-// Crash-recoverable execution (DESIGN.md §13)
-//
-// The executors below run one *attempt* of a migration. Under an [`ExecCtl`]
-// with a scheduled Master crash they stop at the first boundary the crash
-// precedes and return [`ExecOutcome::Interrupted`]; the journaled runner
-// ([`run_journaled`]) then truncates the journal to what was durable at the
-// crash instant, replays it, and launches the next attempt — resuming from
-// the sealed manifest when the crash landed after phase 2, or replanning
-// from scratch when it landed earlier (phases 1–2 never mutate any store,
-// so a pre-seal replan reproduces the identical plan from the unmutated
-// sources).
-// ---------------------------------------------------------------------------
+fn unjournaled_interrupt() -> ElmemError {
+    ElmemError::InconsistentMigration(
+        "unjournaled migration cannot be interrupted by a Master crash".to_string(),
+    )
+}
 
-/// Per-attempt execution control for the journaled runner: the next
-/// scheduled Master crash, the journal to append durable records to, and
-/// the replayed state when this attempt is a resume.
+/// Per-attempt execution control: the next scheduled Master crash, the
+/// journal to append durable records to, and the replayed state when this
+/// attempt is a resume. The default controls nothing.
+#[derive(Default)]
 struct ExecCtl<'j> {
     /// Next Master crash strictly after the attempt's start, if any.
     master_crash: Option<SimTime>,
@@ -860,27 +1024,13 @@ struct ExecCtl<'j> {
     resume: Option<ReplayState>,
 }
 
-impl ExecCtl<'static> {
-    /// No Master crashes, no journal: the legacy single-attempt path.
-    fn none() -> Self {
-        ExecCtl {
-            master_crash: None,
-            journal: None,
-            resume: None,
-        }
-    }
-}
-
 impl ExecCtl<'_> {
-    /// The Master crash preempting work that completes at `boundary`, if
-    /// one is scheduled strictly before it.
-    fn interrupted(&self, boundary: SimTime) -> Option<SimTime> {
-        self.master_crash.filter(|&c| c < boundary)
-    }
-
-    /// The journaled job id, when journaling.
-    fn id(&self) -> Option<u64> {
-        self.journal.as_ref().map(|(_, id)| *id)
+    /// The interruption of work inside `phase` that completes at
+    /// `boundary`, if a Master crash is scheduled strictly before it.
+    fn interrupt(&self, boundary: SimTime, phase: MigrationPhase) -> Option<ExecOutcome> {
+        self.master_crash
+            .filter(|&c| c < boundary)
+            .map(|at| ExecOutcome::Interrupted { at, phase })
     }
 
     /// Appends a record (built from the job id) that becomes durable at
@@ -890,6 +1040,67 @@ impl ExecCtl<'_> {
             journal.append(durable_at, record(*id));
         }
     }
+
+    /// Journals that `phase` ended at `at`.
+    fn phase_done(&mut self, phase: MigrationPhase, at: SimTime) {
+        self.log(at, |id| JournalRecord::PhaseDone { id, phase, at });
+    }
+
+    /// Journals the sealed `plan` and the end of `phase`, both at `at`.
+    fn seal(&mut self, at: SimTime, plan: &[Shipment], phase: MigrationPhase) {
+        self.log(at, |id| JournalRecord::PlanSealed {
+            id,
+            at,
+            manifest: plan.iter().map(Shipment::manifest).collect(),
+        });
+        self.phase_done(phase, at);
+    }
+
+    /// Imports a shipment that landed at `done` on its target, charges the
+    /// import time of an applied one to `p`, and journals its ack. The
+    /// journaled path goes through the target's import ledger, which
+    /// suppresses a re-delivered shipment whose import already applied
+    /// before a Master crash ate its ack.
+    fn import(
+        &mut self,
+        tier: &mut CacheTier,
+        shipment: &Shipment,
+        mode: ImportMode,
+        done: SimTime,
+        ns_per_item: u64,
+        p: &mut Progress,
+    ) -> Result<(), ElmemError> {
+        let node = live_node_mut(tier, shipment.target)?;
+        let applied = match self.journal.as_ref().map(|(_, id)| *id) {
+            Some(id) => node.import_shipment(
+                id,
+                shipment.seq,
+                shipment.checksum(),
+                shipment.class,
+                shipment.items(),
+                mode,
+            )?,
+            None => {
+                node.store
+                    .batch_import(shipment.class, shipment.items(), mode)?;
+                true
+            }
+        };
+        if applied {
+            *p.import_ns.entry(shipment.target).or_default() += shipment.len() as u64 * ns_per_item;
+        }
+        // The ack becomes durable only after the WAL flush lag: a Master
+        // crash inside the window re-delivers this shipment on resume and
+        // the ledger suppresses the duplicate import.
+        self.log(done + ACK_DURABILITY_LAG, |id| {
+            JournalRecord::ShipmentAcked {
+                id,
+                seq: shipment.seq,
+                at: done,
+            }
+        });
+        Ok(())
+    }
 }
 
 /// How one migration attempt ended.
@@ -898,6 +1109,64 @@ enum ExecOutcome {
     Done(MigrationReport),
     /// A Master crash at `at` interrupted the attempt inside `phase`.
     Interrupted { at: SimTime, phase: MigrationPhase },
+}
+
+/// The running totals of one migration attempt — every report, completed
+/// or aborted, is built from them.
+#[derive(Default)]
+struct Progress {
+    started: SimTime,
+    phases: PhaseBreakdown,
+    items_migrated: u64,
+    bytes_migrated: ByteSize,
+    metadata_bytes: ByteSize,
+    items_considered: u64,
+    transfer_retries: u32,
+    /// Import CPU time charged per destination.
+    import_ns: HashMap<NodeId, u64>,
+}
+
+impl Progress {
+    fn new(started: SimTime) -> Self {
+        Progress {
+            started,
+            ..Progress::default()
+        }
+    }
+
+    /// The import phase's wall-clock: destinations import in parallel, so
+    /// the busiest one sets it.
+    fn import_time(&self) -> SimTime {
+        SimTime::from_nanos(self.import_ns.values().copied().max().unwrap_or(0))
+    }
+
+    /// The report of an attempt that ended at `at` (never before
+    /// `started`).
+    fn report(&self, at: SimTime, outcome: MigrationOutcome) -> MigrationReport {
+        MigrationReport {
+            started: self.started,
+            completed: at.max(self.started),
+            phases: self.phases,
+            items_migrated: self.items_migrated,
+            bytes_migrated: self.bytes_migrated,
+            metadata_bytes: self.metadata_bytes,
+            items_considered: self.items_considered,
+            outcome,
+            transfer_retries: self.transfer_retries,
+            resumes: Vec::new(),
+        }
+    }
+
+    /// The terminal outcome of an attempt the supervisor aborted at `at`.
+    fn abort(&self, at: SimTime, phase: MigrationPhase, cause: AbortCause) -> ExecOutcome {
+        ExecOutcome::Done(self.report(at, MigrationOutcome::Aborted { phase, cause }))
+    }
+
+    /// The terminal outcome of an attempt whose phases all ran.
+    fn completed(&self) -> ExecOutcome {
+        let at = self.started + self.phases.total();
+        ExecOutcome::Done(self.report(at, MigrationOutcome::Completed))
+    }
 }
 
 /// Which phase a fault time falls in, given the phase boundaries.
@@ -962,51 +1231,9 @@ fn reconstruct_shipments(
     Ok(plan)
 }
 
-/// [`migrate_scale_in`] under supervision: per-phase deadlines, bounded
-/// exponential-backoff retries for dropped shipments, and clean aborts
-/// when a source or destination crashes mid-flight.
-///
-/// On an abort the function still returns `Ok`: the report's `outcome` is
-/// [`MigrationOutcome::Aborted`] with the phase the fault landed in and
-/// its cause, `completed` is the abort instant, and any phase-3 imports
-/// already applied are **kept** (they are strictly-hotter data already on
-/// healthy retained nodes). The caller — the Master — decides the
-/// fallback: commit the scaling without further migration, excluding
-/// crashed nodes from the retained membership.
-///
-/// # Errors
-///
-/// Same validation as [`migrate_scale_in`];
-/// [`ElmemError::NodeUnavailable`] if a node vanishes from the tier
-/// mid-computation.
-pub fn migrate_scale_in_supervised(
-    tier: &mut CacheTier,
-    retiring: &[NodeId],
-    now: SimTime,
-    costs: &MigrationCosts,
-    import_mode: ImportMode,
-    supervision: &mut Supervision<'_>,
-) -> Result<MigrationReport, ElmemError> {
-    match exec_scale_in(
-        tier,
-        retiring,
-        now,
-        costs,
-        import_mode,
-        supervision,
-        ExecCtl::none(),
-    )? {
-        ExecOutcome::Done(report) => Ok(report),
-        ExecOutcome::Interrupted { .. } => Err(ElmemError::InconsistentMigration(
-            "unjournaled migration cannot be interrupted by a Master crash".to_string(),
-        )),
-    }
-}
-
 /// One attempt of the supervised scale-in migration, interruptible by a
 /// scheduled Master crash and resumable from replayed journal state (see
-/// [`migrate_scale_in_supervised`] for the fault semantics of a single
-/// uninterrupted attempt).
+/// [`migrate`] for the fault semantics of a single uninterrupted attempt).
 fn exec_scale_in(
     tier: &mut CacheTier,
     retiring: &[NodeId],
@@ -1016,9 +1243,6 @@ fn exec_scale_in(
     supervision: &mut Supervision<'_>,
     mut ctl: ExecCtl<'_>,
 ) -> Result<ExecOutcome, ElmemError> {
-    validate_retiring(tier.membership().members(), retiring)?;
-    let retained_ring = tier.membership().ring().without(retiring);
-
     // A resume after the plan sealed is manifest-driven: partial imports
     // have already mutated the destinations, so FuseCache must not re-run.
     // The shipments are instead reconstructed from a fresh source dump
@@ -1032,8 +1256,7 @@ fn exec_scale_in(
     let sealed: Option<Vec<ShipmentManifest>> = resume.as_ref().and_then(|st| st.manifest.clone());
     let acked: BTreeSet<u64> = resume.map(|st| st.acked).unwrap_or_default();
 
-    let mut phases = PhaseBreakdown::default();
-    let mut transfer_retries = 0u32;
+    let mut p = Progress::new(now);
 
     // §III-C scoring cost: every member node crawls its slabs for medians
     // (done in parallel across nodes; take the max = any node's cost).
@@ -1047,7 +1270,7 @@ fn exec_scale_in(
             .count() as u64;
         max_slabs = max_slabs.max(slabs);
     }
-    phases.scoring = SimTime::from_nanos(max_slabs * costs.score_ns_per_slab);
+    p.phases.scoring = SimTime::from_nanos(max_slabs * costs.score_ns_per_slab);
 
     // Phase 1 — dump + hash on each retiring node (§III-D1 already runs
     // the sources in parallel; here worker threads fan the routing out
@@ -1057,27 +1280,11 @@ fn exec_scale_in(
     // scheduling and drop sampling are order-sensitive, so shipping stays
     // serial). A dropped shipment is retried after a backoff; the retry
     // budget covers only these injected drops (not database sheds).
-    let jobs = auto_planning_jobs();
-    let retiring_items: u64 = retiring
-        .iter()
-        .filter_map(|&id| tier.node(id).ok())
-        .map(|n| n.store.len())
-        .sum();
-    let route_jobs = if retiring.len() >= 2 && retiring_items >= PAR_MIN_ITEMS {
-        jobs
-    } else {
-        1
-    };
-    let routed = route_sources(tier, retiring, &retained_ring, route_jobs)?;
-    let mut items_considered = 0u64;
-    let mut metadata_bytes = ByteSize::ZERO;
+    let routed = route_inbound(tier, retiring, 0)?;
     let mut dump_max = SimTime::ZERO;
-    // (target, class) → (source, items) lists.
-    let mut inbound: InboundMap = HashMap::new();
     let mut transfer_done = now;
-    for (&src, routed_src) in retiring.iter().zip(routed) {
-        let n_items = routed_src.n_items;
-        items_considered += n_items;
+    for &(src, n_items) in &routed.sources {
+        p.items_considered += n_items;
         dump_max = dump_max.max(SimTime::from_nanos(n_items * costs.dump_ns_per_item));
         // Ship metadata over the source's NIC (tarball over ssh: one
         // serialized stream per source; the pipeline's per-item CPU cost
@@ -1085,7 +1292,7 @@ fn exec_scale_in(
         // source-by-source in this loop so an abort's partial report is
         // the same as when routing ran inline here.
         let bytes = ByteSize((KEY_BYTES + TIMESTAMP_BYTES) * n_items);
-        metadata_bytes += bytes;
+        p.metadata_bytes += bytes;
         let pipeline = SimTime::from_nanos(n_items * costs.metadata_ns_per_item);
         let mut attempt = 0u32;
         let mut submit_at = now;
@@ -1098,110 +1305,60 @@ fn exec_scale_in(
                 break completion;
             }
             attempt += 1;
-            transfer_retries += 1;
+            p.transfer_retries += 1;
             if attempt >= supervision.retry.max_attempts {
-                phases.dump = dump_max;
-                phases.metadata_transfer = completion.saturating_sub(now);
-                return Ok(aborted(
-                    now,
-                    completion,
-                    phases,
-                    MigrationPhase::MetadataTransfer,
-                    AbortCause::TransferRetriesExhausted {
-                        source: src,
-                        attempts: attempt,
-                    },
-                    0,
-                    ByteSize::ZERO,
-                    metadata_bytes,
-                    items_considered,
-                    transfer_retries,
-                ));
+                p.phases.dump = dump_max;
+                p.phases.metadata_transfer = completion.saturating_sub(now);
+                let cause = AbortCause::TransferRetriesExhausted {
+                    source: src,
+                    attempts: attempt,
+                };
+                return Ok(p.abort(completion, MigrationPhase::MetadataTransfer, cause));
             }
             submit_at = completion + supervision.retry.backoff(attempt);
         };
         transfer_done = transfer_done.max(done);
-        for ((target, class), items) in routed_src.per_target {
-            inbound
-                .entry((target, class))
-                .or_default()
-                .push((src, items));
-        }
     }
-    phases.dump = dump_max;
-    phases.metadata_transfer = transfer_done.saturating_sub(now);
-    let phase1_end = now + phases.scoring + phases.dump + phases.metadata_transfer;
+    p.phases.dump = dump_max;
+    p.phases.metadata_transfer = transfer_done.saturating_sub(now);
+    let phase1_end = now + p.phases.scoring + p.phases.dump + p.phases.metadata_transfer;
 
     // Master-crash gate: a crash inside phase 1 interrupts the attempt
     // before this boundary's journal record ever becomes durable.
-    if let Some(t) = ctl.interrupted(phase1_end) {
-        return Ok(ExecOutcome::Interrupted {
-            at: t,
-            phase: MigrationPhase::MetadataTransfer,
-        });
+    if let Some(stop) = ctl.interrupt(phase1_end, MigrationPhase::MetadataTransfer) {
+        return Ok(stop);
     }
-    ctl.log(phase1_end, |id| JournalRecord::PhaseDone {
-        id,
-        phase: MigrationPhase::MetadataTransfer,
-        at: phase1_end,
-    });
+    ctl.phase_done(MigrationPhase::MetadataTransfer, phase1_end);
 
-    // Destinations, deterministic order (needed for crash checks below
-    // and the FuseCache pass).
-    let mut dest_keys: Vec<(NodeId, ClassId)> = inbound.keys().copied().collect();
-    dest_keys.sort_unstable();
-    let mut dests: Vec<NodeId> = dest_keys.iter().map(|&(t, _)| t).collect();
+    // Destinations, deterministic order (for the crash checks below).
+    let mut dests: Vec<NodeId> = routed.dest_keys.iter().map(|&(t, _)| t).collect();
     dests.dedup();
 
     // A source or destination that dies before the metadata lands aborts
     // the migration in phase 1: its stream breaks and the Master gives up
     // at the crash instant.
-    for &src in retiring {
-        if let Some(t) = supervision.crash_before(src, phase1_end) {
-            return Ok(aborted(
-                now,
-                t,
-                phases,
-                MigrationPhase::MetadataTransfer,
-                AbortCause::SourceCrashed(src),
-                0,
-                ByteSize::ZERO,
-                metadata_bytes,
-                items_considered,
-                transfer_retries,
-            ));
-        }
-    }
-    for &dest in &dests {
-        if let Some(t) = supervision.crash_before(dest, phase1_end) {
-            return Ok(aborted(
-                now,
-                t,
-                phases,
-                MigrationPhase::MetadataTransfer,
-                AbortCause::DestinationCrashed(dest),
-                0,
-                ByteSize::ZERO,
-                metadata_bytes,
-                items_considered,
-                transfer_retries,
-            ));
-        }
+    let crashed = retiring
+        .iter()
+        .find_map(|&src| {
+            supervision
+                .crash_before(src, phase1_end)
+                .map(|t| (t, AbortCause::SourceCrashed(src)))
+        })
+        .or_else(|| {
+            dests.iter().find_map(|&dest| {
+                supervision
+                    .crash_before(dest, phase1_end)
+                    .map(|t| (t, AbortCause::DestinationCrashed(dest)))
+            })
+        });
+    if let Some((t, cause)) = crashed {
+        return Ok(p.abort(t, MigrationPhase::MetadataTransfer, cause));
     }
     if let Some(budget) = supervision.deadlines.metadata {
-        if phases.metadata_transfer > budget {
-            return Ok(aborted(
-                now,
-                now + phases.scoring + phases.dump + budget,
-                phases,
-                MigrationPhase::MetadataTransfer,
-                AbortCause::DeadlineExceeded,
-                0,
-                ByteSize::ZERO,
-                metadata_bytes,
-                items_considered,
-                transfer_retries,
-            ));
+        if p.phases.metadata_transfer > budget {
+            let at = now + p.phases.scoring + p.phases.dump + budget;
+            let cause = AbortCause::DeadlineExceeded;
+            return Ok(p.abort(at, MigrationPhase::MetadataTransfer, cause));
         }
     }
 
@@ -1214,15 +1371,10 @@ fn exec_scale_in(
     // so re-comparing would pick a different plan): the sealed plan is
     // reconstructed from the freshly routed lists and checksum-verified.
     let (plan, phase2_end) = match &sealed {
-        Some(manifest) => (reconstruct_shipments(inbound, manifest)?, phase1_end),
+        Some(manifest) => (reconstruct_shipments(routed.inbound, manifest)?, phase1_end),
         None => {
-            let fuse_jobs = if items_considered >= PAR_MIN_ITEMS {
-                jobs
-            } else {
-                1
-            };
-            let outcome = build_shipments(tier, &dest_keys, inbound, fuse_jobs)?;
-            phases.fusecache = SimTime::from_nanos(
+            let outcome = build_shipments(tier, routed, 0)?;
+            p.phases.fusecache = SimTime::from_nanos(
                 outcome
                     .per_dest_comparisons
                     .values()
@@ -1230,64 +1382,35 @@ fn exec_scale_in(
                     .max()
                     .unwrap_or(0),
             );
-            (outcome.plan, phase1_end + phases.fusecache)
+            (outcome.plan, phase1_end + p.phases.fusecache)
         }
     };
 
     // Master-crash gate at the phase-2 boundary: a crash here loses the
     // plan (it only seals at the boundary), so the resumed attempt
     // replans from scratch.
-    if let Some(t) = ctl.interrupted(phase2_end) {
-        return Ok(ExecOutcome::Interrupted {
-            at: t,
-            phase: MigrationPhase::HotnessComparison,
-        });
+    if let Some(stop) = ctl.interrupt(phase2_end, MigrationPhase::HotnessComparison) {
+        return Ok(stop);
     }
     if sealed.is_none() {
-        ctl.log(phase2_end, |id| JournalRecord::PlanSealed {
-            id,
-            at: phase2_end,
-            manifest: plan.iter().map(Shipment::manifest).collect(),
-        });
-        ctl.log(phase2_end, |id| JournalRecord::PhaseDone {
-            id,
-            phase: MigrationPhase::HotnessComparison,
-            at: phase2_end,
-        });
+        ctl.seal(phase2_end, &plan, MigrationPhase::HotnessComparison);
     }
 
     // A destination dying during the comparison aborts in phase 2
     // (crashes before phase 1's end already returned above).
-    for &dest in &dests {
-        if let Some(t) = supervision.crash_before(dest, phase2_end) {
-            return Ok(aborted(
-                now,
-                t,
-                phases,
-                MigrationPhase::HotnessComparison,
-                AbortCause::DestinationCrashed(dest),
-                0,
-                ByteSize::ZERO,
-                metadata_bytes,
-                items_considered,
-                transfer_retries,
-            ));
-        }
+    let crashed = dests.iter().find_map(|&dest| {
+        supervision
+            .crash_before(dest, phase2_end)
+            .map(|t| (t, AbortCause::DestinationCrashed(dest)))
+    });
+    if let Some((t, cause)) = crashed {
+        return Ok(p.abort(t, MigrationPhase::HotnessComparison, cause));
     }
     if let Some(budget) = supervision.deadlines.hotness {
-        if phases.fusecache > budget {
-            return Ok(aborted(
-                now,
-                phase1_end + budget,
-                phases,
-                MigrationPhase::HotnessComparison,
-                AbortCause::DeadlineExceeded,
-                0,
-                ByteSize::ZERO,
-                metadata_bytes,
-                items_considered,
-                transfer_retries,
-            ));
+        if p.phases.fusecache > budget {
+            let at = phase1_end + budget;
+            let cause = AbortCause::DeadlineExceeded;
+            return Ok(p.abort(at, MigrationPhase::HotnessComparison, cause));
         }
     }
 
@@ -1295,10 +1418,7 @@ fn exec_scale_in(
     // batch-import on the destinations. Imports applied before an abort
     // are kept: they are strictly-hotter data already in place.
     let data_start = phase2_end;
-    let mut items_migrated = 0u64;
-    let mut bytes_migrated = ByteSize::ZERO;
     let mut data_done = data_start;
-    let mut import_ns: HashMap<NodeId, u64> = HashMap::new();
     for shipment in plan {
         let bytes = ByteSize(shipment.items().iter().map(|i| i.footprint()).sum());
         if acked.contains(&shipment.seq) {
@@ -1306,8 +1426,8 @@ fn exec_scale_in(
             // on its destination. Count it toward the totals (so a
             // resumed report matches the uninterrupted one) but ship
             // nothing and charge no transfer or import time.
-            bytes_migrated += bytes;
-            items_migrated += shipment.len() as u64;
+            p.bytes_migrated += bytes;
+            p.items_migrated += shipment.len() as u64;
             continue;
         }
         let (src, target) = (shipment.source, shipment.target);
@@ -1323,37 +1443,24 @@ fn exec_scale_in(
                 break completion;
             }
             attempt += 1;
-            transfer_retries += 1;
+            p.transfer_retries += 1;
             if attempt >= supervision.retry.max_attempts {
-                phases.data_transfer = completion.saturating_sub(data_start);
-                phases.import = SimTime::from_nanos(import_ns.values().copied().max().unwrap_or(0));
-                return Ok(aborted(
-                    now,
-                    completion,
-                    phases,
-                    MigrationPhase::DataMigration,
-                    AbortCause::TransferRetriesExhausted {
-                        source: src,
-                        attempts: attempt,
-                    },
-                    items_migrated,
-                    bytes_migrated,
-                    metadata_bytes,
-                    items_considered,
-                    transfer_retries,
-                ));
+                p.phases.data_transfer = completion.saturating_sub(data_start);
+                p.phases.import = p.import_time();
+                let cause = AbortCause::TransferRetriesExhausted {
+                    source: src,
+                    attempts: attempt,
+                };
+                return Ok(p.abort(completion, MigrationPhase::DataMigration, cause));
             }
             submit_at = completion + supervision.retry.backoff(attempt);
         };
         // Master-crash gate: the Master dies before this shipment lands,
         // so it never ships. Everything already imported stays (the
-        // journaled runner resumes; the unjournaled path never sees a
+        // journaled `migrate` resumes; the unjournaled path never sees a
         // Master crash).
-        if let Some(t) = ctl.interrupted(done) {
-            return Ok(ExecOutcome::Interrupted {
-                at: t,
-                phase: phase_of(t, phase1_end, phase2_end),
-            });
+        if let Some(stop) = ctl.interrupt(done, MigrationPhase::DataMigration) {
+            return Ok(stop);
         }
         // A source or destination dying before this shipment lands aborts
         // here, keeping everything already imported. The phase is the one
@@ -1368,135 +1475,47 @@ fn exec_scale_in(
                     .map(|t| (t, AbortCause::DestinationCrashed(target)))
             });
         if let Some((t, cause)) = crashed {
-            phases.data_transfer = t.max(data_start).saturating_sub(data_start);
-            phases.import = SimTime::from_nanos(import_ns.values().copied().max().unwrap_or(0));
-            return Ok(aborted(
-                now,
-                t,
-                phases,
-                phase_of(t, phase1_end, phase2_end),
-                cause,
-                items_migrated,
-                bytes_migrated,
-                metadata_bytes,
-                items_considered,
-                transfer_retries,
-            ));
+            p.phases.data_transfer = t.max(data_start).saturating_sub(data_start);
+            p.phases.import = p.import_time();
+            return Ok(p.abort(t, phase_of(t, phase1_end, phase2_end), cause));
         }
         data_done = data_done.max(done);
         // Apply the import (items are hottest-first within each source's
         // class list; the store re-sorts/merges as configured). The sealed
-        // checksum proves the shipment arrives exactly as planned. The
-        // journaled path goes through the destination's import ledger,
-        // which suppresses a re-delivered shipment whose import already
-        // applied before a Master crash ate its ack.
+        // checksum proves the shipment arrives exactly as planned.
         shipment.verify_content()?;
-        let node = live_node_mut(tier, target)?;
-        let applied = match ctl.id() {
-            Some(id) => node.import_shipment(
-                id,
-                shipment.seq,
-                shipment.checksum(),
-                shipment.class,
-                shipment.items(),
-                import_mode,
-            )?,
-            None => {
-                node.store
-                    .batch_import(shipment.class, shipment.items(), import_mode)?;
-                true
-            }
-        };
-        if applied {
-            *import_ns.entry(target).or_default() +=
-                shipment.len() as u64 * costs.import_ns_per_item;
-        }
-        // The ack becomes durable only after the WAL flush lag: a Master
-        // crash inside the window re-delivers this shipment on resume and
-        // the ledger suppresses the duplicate import.
-        ctl.log(done + ACK_DURABILITY_LAG, |id| {
-            JournalRecord::ShipmentAcked {
-                id,
-                seq: shipment.seq,
-                at: done,
-            }
-        });
-        bytes_migrated += bytes;
-        items_migrated += shipment.len() as u64;
+        ctl.import(
+            tier,
+            &shipment,
+            import_mode,
+            done,
+            costs.import_ns_per_item,
+            &mut p,
+        )?;
+        p.bytes_migrated += bytes;
+        p.items_migrated += shipment.len() as u64;
     }
-    phases.data_transfer = data_done.saturating_sub(data_start);
-    phases.import = SimTime::from_nanos(import_ns.values().copied().max().unwrap_or(0));
+    p.phases.data_transfer = data_done.saturating_sub(data_start);
+    p.phases.import = p.import_time();
 
     // Master-crash gate at the final boundary: all data landed, but the
     // Master dies before recording completion — the resumed attempt
     // re-delivers only what the journal never durably acked.
-    let completed = now + phases.total();
-    if let Some(t) = ctl.interrupted(completed) {
-        return Ok(ExecOutcome::Interrupted {
-            at: t,
-            phase: MigrationPhase::DataMigration,
-        });
+    let completed = now + p.phases.total();
+    if let Some(stop) = ctl.interrupt(completed, MigrationPhase::DataMigration) {
+        return Ok(stop);
     }
 
     if let Some(budget) = supervision.deadlines.data {
-        if phases.data_transfer + phases.import > budget {
-            return Ok(aborted(
-                now,
-                data_start + budget,
-                phases,
-                MigrationPhase::DataMigration,
-                AbortCause::DeadlineExceeded,
-                items_migrated,
-                bytes_migrated,
-                metadata_bytes,
-                items_considered,
-                transfer_retries,
-            ));
+        if p.phases.data_transfer + p.phases.import > budget {
+            let at = data_start + budget;
+            let cause = AbortCause::DeadlineExceeded;
+            return Ok(p.abort(at, MigrationPhase::DataMigration, cause));
         }
     }
 
-    ctl.log(completed, |id| JournalRecord::PhaseDone {
-        id,
-        phase: MigrationPhase::DataMigration,
-        at: completed,
-    });
-    Ok(ExecOutcome::Done(MigrationReport {
-        started: now,
-        completed,
-        phases,
-        items_migrated,
-        bytes_migrated,
-        metadata_bytes,
-        items_considered,
-        outcome: MigrationOutcome::Completed,
-        transfer_retries,
-        resumes: Vec::new(),
-    }))
-}
-
-/// Executes the scale-out migration (§III-D4): each existing member ships
-/// the keys that hash to the `new_nodes` under the expanded membership.
-///
-/// Does **not** flip the membership; the caller commits at
-/// `report.completed`. The new nodes must already be provisioned (online,
-/// outside the membership).
-///
-/// # Errors
-///
-/// [`ElmemError::InvalidScaling`] if `new_nodes` is empty or contains a
-/// current member.
-pub fn migrate_scale_out(
-    tier: &mut CacheTier,
-    new_nodes: &[NodeId],
-    now: SimTime,
-    costs: &MigrationCosts,
-) -> Result<MigrationReport, ElmemError> {
-    match exec_scale_out(tier, new_nodes, now, costs, ExecCtl::none())? {
-        ExecOutcome::Done(report) => Ok(report),
-        ExecOutcome::Interrupted { .. } => Err(ElmemError::InconsistentMigration(
-            "unjournaled migration cannot be interrupted by a Master crash".to_string(),
-        )),
-    }
+    ctl.phase_done(MigrationPhase::DataMigration, completed);
+    Ok(p.completed())
 }
 
 /// Validates a scale-out request: the new nodes must be non-empty,
@@ -1517,46 +1536,27 @@ fn validate_scale_out(tier: &CacheTier, new_nodes: &[NodeId]) -> Result<(), Elme
     Ok(())
 }
 
-/// One attempt of the scale-out migration, interruptible by a scheduled
-/// Master crash and resumable from replayed journal state (see
-/// [`migrate_scale_out`]).
+/// One attempt of the scale-out migration (§III-D4): each existing member
+/// hashes its keys against the expanded membership and ships whatever
+/// lands on a new node. Under consistent hashing this is ~1/(k+1) of its
+/// keys, which typically fits the new node outright.
 fn exec_scale_out(
     tier: &mut CacheTier,
     new_nodes: &[NodeId],
     now: SimTime,
     costs: &MigrationCosts,
-    mut ctl: ExecCtl<'_>,
+    ctl: ExecCtl<'_>,
 ) -> Result<ExecOutcome, ElmemError> {
-    validate_scale_out(tier, new_nodes)?;
     let expanded_ring = tier.membership().ring().with(new_nodes);
-
-    // Re-dumping on resume is safe for scale-out too: imports land only
-    // on the provisioned-but-not-yet-member new nodes, so the members'
-    // dumps are untouched by a partially-executed plan. The re-derived
-    // plan must still match the sealed manifest exactly.
-    let resume = ctl.resume.take();
-    let sealed: Option<Vec<ShipmentManifest>> = resume.as_ref().and_then(|st| st.manifest.clone());
-    let acked: BTreeSet<u64> = resume.map(|st| st.acked).unwrap_or_default();
-
-    let mut phases = PhaseBreakdown::default();
-    let mut items_considered = 0u64;
-    let mut items_migrated = 0u64;
-    let mut bytes_migrated = ByteSize::ZERO;
-    let mut dump_max = SimTime::ZERO;
-    let mut transfer_done = now;
-    let mut import_ns: HashMap<NodeId, u64> = HashMap::new();
-
-    // Each existing member hashes its keys against the expanded membership
-    // and ships whatever lands on a new node. Under consistent hashing this
-    // is ~1/(k+1) of its keys, which typically fits the new node outright.
-    let mut moves: Vec<(NodeId, NodeId, ClassId, Vec<ItemMeta>)> = Vec::new();
-    for &src in tier.membership().members() {
-        let dump = live_node(tier, src)?.store.dump_metadata();
-        items_considered += dump.total_items();
-        dump_max = dump_max.max(SimTime::from_nanos(
-            dump.total_items() * costs.dump_ns_per_item,
-        ));
-        for class_dump in &dump.classes {
+    let members = tier.membership().members().to_vec();
+    exec_direct(
+        tier,
+        &members,
+        now,
+        costs,
+        ImportMode::Merge,
+        ctl,
+        |class_dump| {
             let mut per_new: HashMap<NodeId, Vec<ItemMeta>> = HashMap::new();
             for item in &class_dump.items {
                 let owner = expanded_ring.node_for(item.key).ok_or_else(|| {
@@ -1566,38 +1566,76 @@ fn exec_scale_out(
                     per_new.entry(owner).or_default().push(*item);
                 }
             }
-            for (target, items) in per_new {
-                moves.push((src, target, class_dump.class, items));
+            Ok(per_new)
+        },
+    )
+}
+
+/// One attempt of a direct-ship migration — no FuseCache, every routed
+/// item ships: the scale-out, and the Naive comparator's scale-in. Each
+/// source dumps its metadata, `route` (the move builder) picks each
+/// class's items per target, and the moves ship in (source, target, class)
+/// order for the targets to import under `import_mode`. (In the rare case
+/// a shipped set exceeds the target's capacity, the store's import evicts
+/// the coldest overflow — equivalent to the paper's "run FuseCache to
+/// determine the top pairs".)
+///
+/// Interruptible and resumable like [`exec_scale_in`]. Re-dumping on
+/// resume is safe: imports land only on nodes that are not sources, so
+/// the sources' dumps are untouched by a partially-executed plan. The
+/// re-derived plan must still match the sealed manifest exactly.
+fn exec_direct(
+    tier: &mut CacheTier,
+    sources: &[NodeId],
+    now: SimTime,
+    costs: &MigrationCosts,
+    import_mode: ImportMode,
+    mut ctl: ExecCtl<'_>,
+    mut route: impl FnMut(&ClassDump) -> Result<HashMap<NodeId, Vec<ItemMeta>>, ElmemError>,
+) -> Result<ExecOutcome, ElmemError> {
+    let resume = ctl.resume.take();
+    let sealed: Option<Vec<ShipmentManifest>> = resume.as_ref().and_then(|st| st.manifest.clone());
+    let acked: BTreeSet<u64> = resume.map(|st| st.acked).unwrap_or_default();
+
+    let mut p = Progress::new(now);
+    let mut moves: Vec<((NodeId, NodeId, ClassId), Vec<ItemMeta>)> = Vec::new();
+    for &src in sources {
+        let dump = live_node(tier, src)?.store.dump_metadata();
+        p.items_considered += dump.total_items();
+        p.phases.dump = p.phases.dump.max(SimTime::from_nanos(
+            dump.total_items() * costs.dump_ns_per_item,
+        ));
+        for class_dump in &dump.classes {
+            for (target, items) in route(class_dump)? {
+                moves.push(((src, target, class_dump.class), items));
             }
         }
     }
-    phases.dump = dump_max;
-    let seal_at = now + phases.dump;
+    let seal_at = now + p.phases.dump;
 
     // Master-crash gate before the plan seals: the resumed attempt
     // re-dumps and re-derives the identical plan.
-    if let Some(t) = ctl.interrupted(seal_at) {
-        return Ok(ExecOutcome::Interrupted {
-            at: t,
-            phase: MigrationPhase::MetadataTransfer,
-        });
+    if let Some(stop) = ctl.interrupt(seal_at, MigrationPhase::MetadataTransfer) {
+        return Ok(stop);
     }
 
-    moves.sort_by_key(|(s, t, c, _)| (*s, *t, *c)); // deterministic
+    moves.sort_by_key(|(cell, _)| *cell); // deterministic
     let plan: Vec<Shipment> = moves
         .into_iter()
         .enumerate()
-        .map(|(i, (s, t, c, items))| Shipment::sealed(i as u64, s, t, c, items))
+        .map(|(i, (cell, items))| {
+            let take = items.len();
+            Shipment::sealed(i as u64, cell, items, take)
+        })
         .collect();
     match &sealed {
         Some(manifest) => {
             // The re-derived plan must reproduce the sealed one exactly
             // (same shipments, same contents — checksums included).
-            if plan.len() != manifest.len()
-                || plan
-                    .iter()
-                    .zip(manifest.iter())
-                    .any(|(s, m)| s.manifest() != *m)
+            if !plan
+                .iter()
+                .map(Shipment::manifest)
+                .eq(manifest.iter().copied())
             {
                 return Err(ElmemError::InconsistentMigration(
                     "resume: scale-out re-dump diverged from the sealed manifest".to_string(),
@@ -1605,29 +1643,18 @@ fn exec_scale_out(
             }
         }
         None => {
-            ctl.log(seal_at, |id| JournalRecord::PlanSealed {
-                id,
-                at: seal_at,
-                manifest: plan.iter().map(Shipment::manifest).collect(),
-            });
-            ctl.log(seal_at, |id| JournalRecord::PhaseDone {
-                id,
-                phase: MigrationPhase::MetadataTransfer,
-                at: seal_at,
-            });
+            ctl.seal(seal_at, &plan, MigrationPhase::MetadataTransfer);
         }
     }
 
-    // Ship + import. (In the rare case the shipped set exceeds the new
-    // node's capacity, the store's import evicts the coldest overflow —
-    // equivalent to the paper's "run FuseCache to determine the top pairs".)
+    let mut transfer_done = now;
     for shipment in plan {
         let bytes = ByteSize(shipment.items().iter().map(|i| i.footprint()).sum());
-        bytes_migrated += bytes;
-        items_migrated += shipment.len() as u64;
+        p.bytes_migrated += bytes;
+        p.items_migrated += shipment.len() as u64;
         if acked.contains(&shipment.seq) {
-            // Durably acked before the crash: already imported on the new
-            // node; counted above, nothing ships.
+            // Durably acked before the crash: already imported on the
+            // target; counted above, nothing ships.
             continue;
         }
         let done = live_node_mut(tier, shipment.source)?
@@ -1635,77 +1662,36 @@ fn exec_scale_out(
             .schedule_transfer(seal_at, bytes);
         transfer_done = transfer_done.max(done);
         // Master-crash gate: the Master dies before this shipment lands.
-        if let Some(t) = ctl.interrupted(done) {
-            return Ok(ExecOutcome::Interrupted {
-                at: t,
-                phase: MigrationPhase::DataMigration,
-            });
+        if let Some(stop) = ctl.interrupt(done, MigrationPhase::DataMigration) {
+            return Ok(stop);
         }
-        let target = shipment.target;
-        let node = live_node_mut(tier, target)?;
-        let applied = match ctl.id() {
-            Some(id) => node.import_shipment(
-                id,
-                shipment.seq,
-                shipment.checksum(),
-                shipment.class,
-                shipment.items(),
-                ImportMode::Merge,
-            )?,
-            None => {
-                node.store
-                    .batch_import(shipment.class, shipment.items(), ImportMode::Merge)?;
-                true
-            }
-        };
-        if applied {
-            *import_ns.entry(target).or_default() +=
-                shipment.len() as u64 * costs.import_ns_per_item;
-        }
-        ctl.log(done + ACK_DURABILITY_LAG, |id| {
-            JournalRecord::ShipmentAcked {
-                id,
-                seq: shipment.seq,
-                at: done,
-            }
-        });
+        ctl.import(
+            tier,
+            &shipment,
+            import_mode,
+            done,
+            costs.import_ns_per_item,
+            &mut p,
+        )?;
         // The source keeps its copy until the membership flips; after the
-        // flip those keys hash to the new node and the stale copies age out
+        // flip those keys hash to the target and the stale copies age out
         // of the source's LRU naturally (as in the real system).
     }
-    phases.data_transfer = transfer_done.saturating_sub(seal_at);
-    phases.import = SimTime::from_nanos(import_ns.values().copied().max().unwrap_or(0));
+    p.phases.data_transfer = transfer_done.saturating_sub(seal_at);
+    p.phases.import = p.import_time();
 
-    let completed = now + phases.total();
-    if let Some(t) = ctl.interrupted(completed) {
-        return Ok(ExecOutcome::Interrupted {
-            at: t,
-            phase: MigrationPhase::DataMigration,
-        });
+    let completed = now + p.phases.total();
+    if let Some(stop) = ctl.interrupt(completed, MigrationPhase::DataMigration) {
+        return Ok(stop);
     }
-    ctl.log(completed, |id| JournalRecord::PhaseDone {
-        id,
-        phase: MigrationPhase::DataMigration,
-        at: completed,
-    });
-    Ok(ExecOutcome::Done(MigrationReport {
-        started: now,
-        completed,
-        phases,
-        items_migrated,
-        bytes_migrated,
-        metadata_bytes: ByteSize::ZERO,
-        items_considered,
-        outcome: MigrationOutcome::Completed,
-        transfer_retries: 0,
-        resumes: Vec::new(),
-    }))
+    ctl.phase_done(MigrationPhase::DataMigration, completed);
+    Ok(p.completed())
 }
 
 /// The *Naive* comparator's migration (§V-B4): ships the hottest
 /// `fraction` of each retiring node's items (assuming hotness distributions
 /// are similar across nodes — no cross-node comparison), and the targets
-/// import them through the ordinary `set` path.
+/// import them through the ordinary `set` path. Never journaled.
 ///
 /// Two deliberate differences from ElMem's migration, mirroring the paper:
 ///
@@ -1720,8 +1706,8 @@ fn exec_scale_out(
 ///
 /// # Errors
 ///
-/// Same validation as [`migrate_scale_in`]; also rejects `fraction`
-/// outside `[0, 1]`.
+/// Same validation as [`migrate`] with [`MigrationRequest::ScaleIn`];
+/// also rejects `fraction` outside `[0, 1]`.
 pub fn migrate_naive_scale_in(
     tier: &mut CacheTier,
     retiring: &[NodeId],
@@ -1736,23 +1722,14 @@ pub fn migrate_naive_scale_in(
     }
     validate_retiring(tier.membership().members(), retiring)?;
     let retained_ring = tier.membership().ring().without(retiring);
-
-    let mut phases = PhaseBreakdown::default();
-    let mut items_considered = 0u64;
-    let mut items_migrated = 0u64;
-    let mut bytes_migrated = ByteSize::ZERO;
-    let mut dump_max = SimTime::ZERO;
-    let mut transfer_done = now;
-    let mut import_ns: HashMap<NodeId, u64> = HashMap::new();
-
-    let mut moves: Vec<(NodeId, NodeId, ClassId, Vec<ItemMeta>)> = Vec::new();
-    for &src in retiring {
-        let dump = live_node(tier, src)?.store.dump_metadata();
-        items_considered += dump.total_items();
-        dump_max = dump_max.max(SimTime::from_nanos(
-            dump.total_items() * costs.dump_ns_per_item,
-        ));
-        for class_dump in &dump.classes {
+    let outcome = exec_direct(
+        tier,
+        retiring,
+        now,
+        costs,
+        ImportMode::Prepend,
+        ExecCtl::default(),
+        |class_dump| {
             let take = (class_dump.items.len() as f64 * fraction).ceil() as usize;
             let mut per_target: HashMap<NodeId, Vec<ItemMeta>> = HashMap::new();
             for (i, item) in class_dump.items.iter().take(take).enumerate() {
@@ -1767,202 +1744,13 @@ pub fn migrate_naive_scale_in(
                 };
                 per_target.entry(target).or_default().push(corrupted);
             }
-            for (target, items) in per_target {
-                moves.push((src, target, class_dump.class, items));
-            }
-        }
-    }
-    phases.dump = dump_max;
-
-    moves.sort_by_key(|(s, t, c, _)| (*s, *t, *c));
-    for (src, target, class, items) in moves {
-        let bytes = ByteSize(items.iter().map(|i| i.footprint()).sum());
-        bytes_migrated += bytes;
-        items_migrated += items.len() as u64;
-        let done = live_node_mut(tier, src)?
-            .link
-            .schedule_transfer(now + phases.dump, bytes);
-        transfer_done = transfer_done.max(done);
-        *import_ns.entry(target).or_default() += items.len() as u64 * costs.import_ns_per_item;
-        let node = live_node_mut(tier, target)?;
-        node.store
-            .batch_import(class, &items, ImportMode::Prepend)?;
-    }
-    phases.data_transfer = transfer_done.saturating_sub(now + phases.dump);
-    phases.import = SimTime::from_nanos(import_ns.values().copied().max().unwrap_or(0));
-
-    Ok(MigrationReport {
-        started: now,
-        completed: now + phases.total(),
-        phases,
-        items_migrated,
-        bytes_migrated,
-        metadata_bytes: ByteSize::ZERO,
-        items_considered,
-        outcome: MigrationOutcome::Completed,
-        transfer_retries: 0,
-        resumes: Vec::new(),
-    })
-}
-
-/// Drives [`exec_scale_in`]/[`exec_scale_out`] attempts under a
-/// [`MasterPlan`]: journals `Started`, and on each Master-crash
-/// interruption truncates the journal to what was durable at the crash
-/// instant, replays it, and (per the recovery policy) either resumes a
-/// fresh attempt after the restart delay or gives up with a
-/// Master-crashed abort.
-#[allow(clippy::too_many_arguments)]
-fn run_journaled(
-    tier: &mut CacheTier,
-    nodes: &[NodeId],
-    kind: MigrationKind,
-    now: SimTime,
-    master: &MasterPlan,
-    journal: &mut MigrationJournal,
-    id: u64,
-    mut exec: impl FnMut(&mut CacheTier, SimTime, ExecCtl<'_>) -> Result<ExecOutcome, ElmemError>,
-) -> Result<MigrationReport, ElmemError> {
-    journal.append(
-        now,
-        JournalRecord::Started {
-            id,
-            kind,
-            nodes: nodes.to_vec(),
-            at: now,
+            Ok(per_target)
         },
-    );
-    let mut resumes: Vec<ResumePoint> = Vec::new();
-    let mut resume: Option<ReplayState> = None;
-    let mut attempt_start = now;
-    loop {
-        let ctl = ExecCtl {
-            master_crash: master.next_crash_after(attempt_start),
-            journal: Some((&mut *journal, id)),
-            resume: resume.take(),
-        };
-        match exec(tier, attempt_start, ctl)? {
-            ExecOutcome::Done(mut report) => {
-                // The report spans the whole journey: `started` is the
-                // original trigger, `phases` the final attempt.
-                report.started = now;
-                report.resumes = resumes;
-                let terminal = match report.outcome {
-                    MigrationOutcome::Completed => JournalRecord::Committed {
-                        id,
-                        at: report.completed,
-                    },
-                    MigrationOutcome::Aborted { .. } => JournalRecord::Aborted {
-                        id,
-                        at: report.completed,
-                    },
-                };
-                journal.append(report.completed, terminal);
-                return Ok(report);
-            }
-            ExecOutcome::Interrupted { at, phase } => {
-                // The crash eats every record not yet durable at `at`.
-                journal.discard_after(at);
-                let resumed_at = at + master.restart_delay;
-                if master.recovery == MasterRecovery::Abort {
-                    journal.append(resumed_at, JournalRecord::Aborted { id, at: resumed_at });
-                    resumes.push(ResumePoint {
-                        crashed_at: at,
-                        resumed_at,
-                        phase,
-                    });
-                    return Ok(MigrationReport {
-                        started: now,
-                        completed: resumed_at,
-                        phases: PhaseBreakdown::default(),
-                        items_migrated: 0,
-                        bytes_migrated: ByteSize::ZERO,
-                        metadata_bytes: ByteSize::ZERO,
-                        items_considered: 0,
-                        outcome: MigrationOutcome::Aborted {
-                            phase,
-                            cause: AbortCause::MasterCrashed,
-                        },
-                        transfer_retries: 0,
-                        resumes,
-                    });
-                }
-                let st = journal.replay(id);
-                journal.append(
-                    resumed_at,
-                    JournalRecord::Resumed {
-                        id,
-                        at: resumed_at,
-                        phase,
-                    },
-                );
-                resumes.push(ResumePoint {
-                    crashed_at: at,
-                    resumed_at,
-                    phase,
-                });
-                resume = Some(st);
-                attempt_start = resumed_at;
-            }
-        }
+    )?;
+    match outcome {
+        ExecOutcome::Done(report) => Ok(report),
+        ExecOutcome::Interrupted { .. } => Err(unjournaled_interrupt()),
     }
-}
-
-/// [`migrate_scale_in_supervised`] under a crash-recoverable Master: the
-/// migration journals its progress into `journal` under job `id`, and a
-/// Master crash scheduled in `supervision.master` interrupts the attempt;
-/// per the recovery policy the Master then replays the journal and
-/// resumes from the last durable point (or aborts). With no scheduled
-/// crashes this is byte-for-byte [`migrate_scale_in_supervised`] plus the
-/// journal records.
-#[allow(clippy::too_many_arguments)]
-pub fn migrate_scale_in_journaled(
-    tier: &mut CacheTier,
-    retiring: &[NodeId],
-    now: SimTime,
-    costs: &MigrationCosts,
-    import_mode: ImportMode,
-    supervision: &mut Supervision<'_>,
-    journal: &mut MigrationJournal,
-    id: u64,
-) -> Result<MigrationReport, ElmemError> {
-    // Validate before journaling Started: a rejected request never
-    // existed as far as the journal is concerned.
-    validate_retiring(tier.membership().members(), retiring)?;
-    let master = supervision.master.clone();
-    run_journaled(
-        tier,
-        retiring,
-        MigrationKind::ScaleIn,
-        now,
-        &master,
-        journal,
-        id,
-        |tier, at, ctl| exec_scale_in(tier, retiring, at, costs, import_mode, supervision, ctl),
-    )
-}
-
-/// [`migrate_scale_out`] under a crash-recoverable Master; see
-/// [`migrate_scale_in_journaled`] for the journey semantics.
-pub fn migrate_scale_out_journaled(
-    tier: &mut CacheTier,
-    new_nodes: &[NodeId],
-    now: SimTime,
-    costs: &MigrationCosts,
-    master: &MasterPlan,
-    journal: &mut MigrationJournal,
-    id: u64,
-) -> Result<MigrationReport, ElmemError> {
-    validate_scale_out(tier, new_nodes)?;
-    run_journaled(
-        tier,
-        new_nodes,
-        MigrationKind::ScaleOut,
-        now,
-        master,
-        journal,
-        id,
-        |tier, at, ctl| exec_scale_out(tier, new_nodes, at, costs, ctl),
-    )
 }
 
 fn validate_retiring(members: &[NodeId], retiring: &[NodeId]) -> Result<(), ElmemError> {
@@ -1987,6 +1775,31 @@ mod tests {
     use super::*;
     use elmem_cluster::ClusterConfig;
     use elmem_util::KeyId;
+
+    /// An unjournaled, unsupervised ElMem scale-in.
+    fn scale_in(
+        tier: &mut CacheTier,
+        retiring: &[NodeId],
+        now: SimTime,
+        costs: &MigrationCosts,
+    ) -> Result<MigrationReport, ElmemError> {
+        let request = MigrationRequest::ScaleIn {
+            retiring,
+            import: ImportMode::Merge,
+        };
+        migrate(tier, request, now, costs, &mut Supervision::none(), None)
+    }
+
+    /// An unjournaled scale-out.
+    fn scale_out(
+        tier: &mut CacheTier,
+        new_nodes: &[NodeId],
+        now: SimTime,
+        costs: &MigrationCosts,
+    ) -> Result<MigrationReport, ElmemError> {
+        let request = MigrationRequest::ScaleOut { new_nodes };
+        migrate(tier, request, now, costs, &mut Supervision::none(), None)
+    }
 
     /// Tier with node 0 coldest: keys 0..400 spread by ring, all touched;
     /// node 0's items get old timestamps.
@@ -2013,12 +1826,11 @@ mod tests {
     #[test]
     fn scale_in_moves_items_to_correct_targets() {
         let (mut tier, keys_on_0) = warmed_tier();
-        let report = migrate_scale_in(
+        let report = scale_in(
             &mut tier,
             &[NodeId(0)],
             SimTime::from_secs(200_000),
             &MigrationCosts::default(),
-            ImportMode::Merge,
         )
         .unwrap();
         assert!(report.items_migrated > 0);
@@ -2039,12 +1851,11 @@ mod tests {
     #[test]
     fn migration_does_not_flip_membership() {
         let (mut tier, _) = warmed_tier();
-        migrate_scale_in(
+        scale_in(
             &mut tier,
             &[NodeId(0)],
             SimTime::from_secs(200_000),
             &MigrationCosts::default(),
-            ImportMode::Merge,
         )
         .unwrap();
         assert_eq!(tier.membership().len(), 4);
@@ -2055,12 +1866,11 @@ mod tests {
     fn migrated_items_are_hotter_than_evicted() {
         let (mut tier, _) = warmed_tier();
         // Record pre-migration tail hotness on a retained node.
-        let report = migrate_scale_in(
+        let report = scale_in(
             &mut tier,
             &[NodeId(0)],
             SimTime::from_secs(200_000),
             &MigrationCosts::default(),
-            ImportMode::Merge,
         )
         .unwrap();
         // Every class list on every retained node must still be sorted.
@@ -2080,14 +1890,7 @@ mod tests {
     fn phase_breakdown_sums_to_completion() {
         let (mut tier, _) = warmed_tier();
         let start = SimTime::from_secs(200_000);
-        let report = migrate_scale_in(
-            &mut tier,
-            &[NodeId(0)],
-            start,
-            &MigrationCosts::default(),
-            ImportMode::Merge,
-        )
-        .unwrap();
+        let report = scale_in(&mut tier, &[NodeId(0)], start, &MigrationCosts::default()).unwrap();
         assert_eq!(report.completed, start + report.phases.total());
         assert!(report.metadata_bytes > ByteSize::ZERO);
         assert!(report.bytes_migrated > ByteSize::ZERO);
@@ -2097,12 +1900,11 @@ mod tests {
     #[test]
     fn retiring_unknown_node_fails() {
         let (mut tier, _) = warmed_tier();
-        assert!(migrate_scale_in(
+        assert!(scale_in(
             &mut tier,
             &[NodeId(77)],
             SimTime::ZERO,
-            &MigrationCosts::default(),
-            ImportMode::Merge,
+            &MigrationCosts::default()
         )
         .is_err());
     }
@@ -2111,14 +1913,7 @@ mod tests {
     fn retiring_everything_fails() {
         let (mut tier, _) = warmed_tier();
         let all: Vec<NodeId> = tier.membership().members().to_vec();
-        assert!(migrate_scale_in(
-            &mut tier,
-            &all,
-            SimTime::ZERO,
-            &MigrationCosts::default(),
-            ImportMode::Merge,
-        )
-        .is_err());
+        assert!(scale_in(&mut tier, &all, SimTime::ZERO, &MigrationCosts::default()).is_err());
     }
 
     #[test]
@@ -2126,7 +1921,7 @@ mod tests {
         let (mut tier, _) = warmed_tier();
         let new = tier.provision_nodes(1);
         let expanded = tier.membership().ring().with(&new);
-        let report = migrate_scale_out(
+        let report = scale_out(
             &mut tier,
             &new,
             SimTime::from_secs(200_000),
@@ -2149,7 +1944,7 @@ mod tests {
     #[test]
     fn scale_out_rejects_existing_member() {
         let (mut tier, _) = warmed_tier();
-        assert!(migrate_scale_out(
+        assert!(scale_out(
             &mut tier,
             &[NodeId(0)],
             SimTime::ZERO,
@@ -2161,7 +1956,7 @@ mod tests {
     #[test]
     fn scale_out_rejects_unprovisioned() {
         let (mut tier, _) = warmed_tier();
-        assert!(migrate_scale_out(
+        assert!(scale_out(
             &mut tier,
             &[NodeId(50)],
             SimTime::ZERO,
@@ -2179,22 +1974,8 @@ mod tests {
             dump_ns_per_item: cheap.dump_ns_per_item * 10,
             ..cheap
         };
-        let r1 = migrate_scale_in(
-            &mut t1,
-            &[NodeId(0)],
-            SimTime::from_secs(200_000),
-            &cheap,
-            ImportMode::Merge,
-        )
-        .unwrap();
-        let r2 = migrate_scale_in(
-            &mut t2,
-            &[NodeId(0)],
-            SimTime::from_secs(200_000),
-            &costly,
-            ImportMode::Merge,
-        )
-        .unwrap();
+        let r1 = scale_in(&mut t1, &[NodeId(0)], SimTime::from_secs(200_000), &cheap).unwrap();
+        let r2 = scale_in(&mut t2, &[NodeId(0)], SimTime::from_secs(200_000), &costly).unwrap();
         assert!(r2.phases.dump > r1.phases.dump);
     }
 
@@ -2216,13 +1997,17 @@ mod tests {
     ) -> MigrationReport {
         let mut sup = Supervision::with_faults(faults);
         sup.deadlines = deadlines;
-        migrate_scale_in_supervised(
+        let request = MigrationRequest::ScaleIn {
+            retiring: &[NodeId(0)],
+            import: ImportMode::Merge,
+        };
+        migrate(
             tier,
-            &[NodeId(0)],
+            request,
             NOW,
             &MigrationCosts::default(),
-            ImportMode::Merge,
             &mut sup,
+            None,
         )
         .unwrap()
     }
@@ -2230,14 +2015,7 @@ mod tests {
     #[test]
     fn unsupervised_outcome_is_completed() {
         let (mut tier, _) = warmed_tier();
-        let report = migrate_scale_in(
-            &mut tier,
-            &[NodeId(0)],
-            NOW,
-            &MigrationCosts::default(),
-            ImportMode::Merge,
-        )
-        .unwrap();
+        let report = scale_in(&mut tier, &[NodeId(0)], NOW, &MigrationCosts::default()).unwrap();
         assert!(report.outcome.is_completed());
         assert_eq!(report.transfer_retries, 0);
         assert_eq!(report.outcome.crashed_node(), None);
@@ -2272,14 +2050,7 @@ mod tests {
     fn destination_crash_in_phase3_keeps_partial_imports() {
         // Learn the fault-free phase boundaries first.
         let (mut probe, _) = warmed_tier();
-        let clean = migrate_scale_in(
-            &mut probe,
-            &[NodeId(0)],
-            NOW,
-            &MigrationCosts::default(),
-            ImportMode::Merge,
-        )
-        .unwrap();
+        let clean = scale_in(&mut probe, &[NodeId(0)], NOW, &MigrationCosts::default()).unwrap();
         assert!(clean.phases.data_transfer > SimTime::ZERO);
         let data_start = NOW
             + clean.phases.scoring
@@ -2346,12 +2117,11 @@ mod tests {
         assert!(report.transfer_retries > 0);
         // Retries push the timeline out past the fault-free run.
         let (mut clean_tier, _) = warmed_tier();
-        let clean = migrate_scale_in(
+        let clean = scale_in(
             &mut clean_tier,
             &[NodeId(0)],
             NOW,
             &MigrationCosts::default(),
-            ImportMode::Merge,
         )
         .unwrap();
         assert!(report.completed > clean.completed);
@@ -2423,32 +2193,19 @@ mod tests {
     ) -> MigrationReport {
         let mut sup = Supervision::none();
         sup.master = master;
-        migrate_scale_in_journaled(
-            tier,
-            &[NodeId(0)],
-            NOW,
-            &MigrationCosts::default(),
-            ImportMode::Merge,
-            &mut sup,
-            journal,
-            0,
-        )
-        .unwrap()
+        let request = MigrationRequest::ScaleIn {
+            retiring: &[NodeId(0)],
+            import: ImportMode::Merge,
+        };
+        let costs = MigrationCosts::default();
+        migrate(tier, request, NOW, &costs, &mut sup, Some((journal, 0))).unwrap()
     }
 
     #[test]
     fn journaled_run_without_crashes_matches_supervised() {
         let (mut a, _) = warmed_tier();
         let (mut b, _) = warmed_tier();
-        let ra = migrate_scale_in_supervised(
-            &mut a,
-            &[NodeId(0)],
-            NOW,
-            &MigrationCosts::default(),
-            ImportMode::Merge,
-            &mut Supervision::none(),
-        )
-        .unwrap();
+        let ra = scale_in(&mut a, &[NodeId(0)], NOW, &MigrationCosts::default()).unwrap();
         let mut journal = MigrationJournal::new();
         let rb = journaled_scale_in(&mut b, MasterPlan::default(), &mut journal);
         assert_eq!(ra, rb, "journaling must not perturb the migration");
@@ -2583,40 +2340,45 @@ mod tests {
         assert!(st.aborted && !st.committed);
     }
 
+    fn journaled_scale_out(
+        tier: &mut CacheTier,
+        new_nodes: &[NodeId],
+        master: MasterPlan,
+        journal: &mut MigrationJournal,
+    ) -> MigrationReport {
+        let mut sup = Supervision::none();
+        sup.master = master;
+        let request = MigrationRequest::ScaleOut { new_nodes };
+        let costs = MigrationCosts::default();
+        migrate(tier, request, NOW, &costs, &mut sup, Some((journal, 0))).unwrap()
+    }
+
     #[test]
     fn scale_out_resumes_byte_identically() {
         let (mut clean, _) = warmed_tier();
         let new_clean = clean.provision_nodes(1);
         let mut clean_journal = MigrationJournal::new();
-        let clean_report = migrate_scale_out_journaled(
+        let clean_report = journaled_scale_out(
             &mut clean,
             &new_clean,
-            NOW,
-            &MigrationCosts::default(),
-            &MasterPlan::default(),
+            MasterPlan::default(),
             &mut clean_journal,
-            0,
-        )
-        .unwrap();
+        );
         let span = clean_report.completed.saturating_sub(NOW).as_nanos();
         for num in [1u64, 500, 999] {
             let crash = NOW + SimTime::from_nanos(span * num / 1000);
             let (mut tier, _) = warmed_tier();
             let new = tier.provision_nodes(1);
             let mut journal = MigrationJournal::new();
-            let report = migrate_scale_out_journaled(
+            let report = journaled_scale_out(
                 &mut tier,
                 &new,
-                NOW,
-                &MigrationCosts::default(),
-                &MasterPlan {
+                MasterPlan {
                     crashes: vec![crash],
                     ..MasterPlan::default()
                 },
                 &mut journal,
-                0,
-            )
-            .unwrap();
+            );
             assert_eq!(report.outcome, MigrationOutcome::Completed);
             assert_eq!(report.resumes.len(), 1);
             assert_eq!(

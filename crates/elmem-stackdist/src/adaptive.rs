@@ -18,7 +18,6 @@
 use elmem_util::KeyId;
 
 use crate::exact::ExactStackDistance;
-use crate::legacy::LegacyExactStackDistance;
 use crate::mimir::Mimir;
 
 /// Bucket count for the post-switch MIMIR estimator (the paper's
@@ -49,10 +48,6 @@ pub struct AdaptiveStackDistance {
 enum Engine {
     Exact(ExactStackDistance),
     Mimir(Mimir),
-    /// The preserved pre-optimization engine (benchmark baseline). Never
-    /// hands off to MIMIR — exactly the unbounded behavior `tab_scale`'s
-    /// pre-opt column measures.
-    Legacy(LegacyExactStackDistance),
 }
 
 impl Default for AdaptiveStackDistance {
@@ -64,15 +59,7 @@ impl Default for AdaptiveStackDistance {
 impl AdaptiveStackDistance {
     /// Creates an engine that switches at the global
     /// [`crate::adaptive_switch_keys`] threshold (sampled at construction).
-    /// With [`crate::legacy_exact`] set, the engine instead runs the
-    /// preserved pre-optimization implementation and never switches.
     pub fn new() -> Self {
-        if crate::legacy_exact() {
-            return AdaptiveStackDistance {
-                engine: Engine::Legacy(LegacyExactStackDistance::new()),
-                switch_keys: u64::MAX,
-            };
-        }
         Self::with_switch_threshold(crate::adaptive_switch_keys())
     }
 
@@ -86,7 +73,7 @@ impl AdaptiveStackDistance {
 
     /// Whether the engine is still in its exact phase.
     pub fn is_exact(&self) -> bool {
-        matches!(self.engine, Engine::Exact(_) | Engine::Legacy(_))
+        matches!(self.engine, Engine::Exact(_))
     }
 
     /// Number of distinct keys currently tracked.
@@ -94,7 +81,6 @@ impl AdaptiveStackDistance {
         match &self.engine {
             Engine::Exact(e) => e.unique_keys(),
             Engine::Mimir(m) => m.tracked_keys(),
-            Engine::Legacy(e) => e.unique_keys(),
         }
     }
 
@@ -110,7 +96,6 @@ impl AdaptiveStackDistance {
                 d
             }
             Engine::Mimir(mimir) => mimir.record(key, bytes),
-            Engine::Legacy(legacy) => legacy.record(key, bytes),
         }
     }
 

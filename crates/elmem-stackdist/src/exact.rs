@@ -358,12 +358,40 @@ mod tests {
     fn randomized_against_brute_force() {
         use elmem_util::DetRng;
         let mut rng = DetRng::seed(42);
-        let trace: Vec<(u64, u64)> = (0..300)
+        let uniform: Vec<(u64, u64)> = (0..300)
             .map(|_| (rng.next_below(30), 1 + rng.next_below(100)))
             .collect();
-        let mut e = ExactStackDistance::new();
-        let got: Vec<Option<u64>> = trace.iter().map(|&(k, b)| e.record(KeyId(k), b)).collect();
-        assert_eq!(got, brute_force(&trace));
+        // A hot core mixed with a cold tail: positions both accumulate
+        // (the tree grows) and die (it compacts) within one trace.
+        let mut rng = DetRng::seed(11);
+        let hot_cold: Vec<(u64, u64)> = (0..4000u64)
+            .map(|i| {
+                let key = if i % 3 == 0 {
+                    rng.next_below(50)
+                } else {
+                    rng.next_below(1000)
+                };
+                (key, 1 + rng.next_below(4096))
+            })
+            .collect();
+        for (name, trace) in [("uniform", &uniform), ("hot_cold", &hot_cold)] {
+            let mut e = ExactStackDistance::new();
+            let (mut grew, mut compacted) = (false, false);
+            let got: Vec<Option<u64>> = trace
+                .iter()
+                .map(|&(k, b)| {
+                    let (len, time) = (e.fenwick.len(), e.time);
+                    let d = e.record(KeyId(k), b);
+                    grew |= e.fenwick.len() > len;
+                    compacted |= e.time <= time;
+                    d
+                })
+                .collect();
+            assert_eq!(got, brute_force(trace), "{name} trace diverges");
+            if name == "hot_cold" {
+                assert!(grew && compacted, "grew={grew} compacted={compacted}");
+            }
+        }
     }
 
     #[test]

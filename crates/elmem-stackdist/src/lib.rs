@@ -42,16 +42,14 @@
 pub mod adaptive;
 pub mod exact;
 pub mod hrc;
-pub mod legacy;
 pub mod mimir;
 
 pub use adaptive::AdaptiveStackDistance;
 pub use exact::ExactStackDistance;
 pub use hrc::HitRateCurve;
-pub use legacy::LegacyExactStackDistance;
 pub use mimir::Mimir;
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Default distinct-key count at which [`AdaptiveStackDistance`] hands
 /// off from the exact engine to MIMIR. Above every laptop-scale keyspace
@@ -70,20 +68,4 @@ pub fn adaptive_switch_keys() -> u64 {
 /// engine — the pre-optimization behavior — regardless of scale).
 pub fn set_adaptive_switch_keys(keys: u64) {
     ADAPTIVE_SWITCH_KEYS.store(keys, Ordering::Relaxed);
-}
-
-static LEGACY_EXACT: AtomicBool = AtomicBool::new(false);
-
-/// Whether [`AdaptiveStackDistance::new`] should run the preserved
-/// pre-optimization engine ([`LegacyExactStackDistance`]) instead of the
-/// packed exact engine. Benchmark-only; a legacy engine never hands off
-/// to MIMIR.
-pub fn legacy_exact() -> bool {
-    LEGACY_EXACT.load(Ordering::Relaxed)
-}
-
-/// Routes subsequently constructed adaptive engines through the preserved
-/// pre-optimization exact engine (`tab_scale`'s pre-opt column).
-pub fn set_legacy_exact(on: bool) {
-    LEGACY_EXACT.store(on, Ordering::Relaxed);
 }

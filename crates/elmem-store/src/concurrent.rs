@@ -1,7 +1,7 @@
 //! The `Sync` serving facade over the sharded store: lock-per-shard
 //! gets/sets for real threads.
 //!
-//! [`ConcurrentSlabStore`] wraps the same [`Shard`]s the serial
+//! [`ConcurrentSlabStore`] wraps the same `Shard`s the serial
 //! [`SlabStore`] drives, each behind its own `Mutex`, with the facade-level
 //! accounting (LRU clock, per-class page/len budgets, op counters) held in
 //! atomics. Operations on keys that route to distinct shards never touch

@@ -1,6 +1,6 @@
 //! The slab store: pages, chunks, MRU lists, LRU eviction — sharded.
 //!
-//! Since PR 8 the store body is split into N independent [`Shard`]s (key →
+//! The store body is split into N independent `Shard`s (key →
 //! shard via the same SplitMix64 finalizer the index hashes with). This
 //! serial facade drives them one op at a time and stays **byte-identical to
 //! the unsharded store at any shard count**: every MRU link carries a stamp

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example node_choice`
 
 use elmem::cluster::{Cluster, ClusterConfig};
-use elmem::core::migration::{migrate_scale_in, MigrationCosts};
+use elmem::core::migration::{migrate, MigrationCosts, MigrationRequest, Supervision};
 use elmem::core::scoring::{choose_retiring, node_score};
 use elmem::store::ImportMode;
 use elmem::util::{DetRng, KeyId, SimTime};
@@ -51,12 +51,17 @@ fn main() {
     let mut by_choice = Vec::new();
     for id in members {
         let mut trial = cluster.tier.clone();
-        let report = migrate_scale_in(
+        let request = MigrationRequest::ScaleIn {
+            retiring: &[id],
+            import: ImportMode::Merge,
+        };
+        let report = migrate(
             &mut trial,
-            &[id],
+            request,
             SimTime::from_secs(10_000_000),
             &MigrationCosts::default(),
-            ImportMode::Merge,
+            &mut Supervision::none(),
+            None,
         )
         .expect("migration succeeds");
         println!(

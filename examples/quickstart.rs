@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use elmem::cluster::{Cluster, ClusterConfig};
-use elmem::core::migration::{migrate_scale_in, MigrationCosts};
+use elmem::core::migration::{migrate, MigrationCosts, MigrationRequest, Supervision};
 use elmem::core::scoring::choose_retiring;
 use elmem::store::ImportMode;
 use elmem::util::{DetRng, KeyId, SimTime};
@@ -66,12 +66,17 @@ fn main() {
     for (id, score) in &scored {
         println!("  {id}: {score:.1}");
     }
-    let report = migrate_scale_in(
+    let request = MigrationRequest::ScaleIn {
+        retiring: &victims,
+        import: ImportMode::Merge,
+    };
+    let report = migrate(
         &mut cluster.tier,
-        &victims,
+        request,
         SimTime::from_secs(20_000),
         &MigrationCosts::default(),
-        ImportMode::Merge,
+        &mut Supervision::none(), // no deadlines, no injected faults
+        None,                     // unjournaled: no Master-crash recovery
     )
     .expect("migration succeeds");
     cluster

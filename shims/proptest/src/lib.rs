@@ -283,7 +283,7 @@ pub mod collection {
     use crate::rng::TestRng;
     use crate::strategy::Strategy;
 
-    /// Accepted length specifications for [`vec`].
+    /// Accepted length specifications for [`vec()`].
     pub trait IntoSizeRange {
         /// Lower and *inclusive* upper bound on the length.
         fn bounds(&self) -> (usize, usize);

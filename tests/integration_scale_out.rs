@@ -2,7 +2,7 @@
 //! migration before the membership flips, avoiding the cold cache.
 
 use elmem::cluster::{Cluster, ClusterConfig};
-use elmem::core::migration::{migrate_scale_out, MigrationCosts};
+use elmem::core::migration::{migrate, MigrationCosts, MigrationRequest, Supervision};
 use elmem::util::{DetRng, KeyId, SimTime};
 use elmem::workload::{GeneralizedPareto, Keyspace};
 
@@ -35,7 +35,15 @@ fn scale_out_keeps_remapped_keys_hitting() {
     let now = SimTime::from_secs(100_000);
 
     let new = cluster.tier.provision_nodes(1);
-    migrate_scale_out(&mut cluster.tier, &new, now, &MigrationCosts::default()).unwrap();
+    migrate(
+        &mut cluster.tier,
+        MigrationRequest::ScaleOut { new_nodes: &new },
+        now,
+        &MigrationCosts::default(),
+        &mut Supervision::none(),
+        None,
+    )
+    .unwrap();
     cluster.tier.commit_add(&new).unwrap();
 
     // Every key cached before must still hit after the flip — the ones
@@ -80,11 +88,13 @@ fn cold_scale_out_misses_remapped_keys() {
 fn scale_out_migrates_about_one_over_k_plus_one() {
     let mut cluster = warmed();
     let new = cluster.tier.provision_nodes(1);
-    let report = migrate_scale_out(
+    let report = migrate(
         &mut cluster.tier,
-        &new,
+        MigrationRequest::ScaleOut { new_nodes: &new },
         SimTime::from_secs(100_000),
         &MigrationCosts::default(),
+        &mut Supervision::none(),
+        None,
     )
     .unwrap();
     // 4 → 5 nodes: ~1/5 of the 4000 cached items should move.
@@ -97,8 +107,15 @@ fn multi_node_scale_out_works() {
     let mut cluster = warmed();
     let now = SimTime::from_secs(100_000);
     let new = cluster.tier.provision_nodes(3);
-    let report =
-        migrate_scale_out(&mut cluster.tier, &new, now, &MigrationCosts::default()).unwrap();
+    let report = migrate(
+        &mut cluster.tier,
+        MigrationRequest::ScaleOut { new_nodes: &new },
+        now,
+        &MigrationCosts::default(),
+        &mut Supervision::none(),
+        None,
+    )
+    .unwrap();
     cluster.tier.commit_add(&new).unwrap();
     assert_eq!(cluster.tier.membership().len(), 7);
     assert!(report.items_migrated > 0);

@@ -3,7 +3,7 @@
 //! worth migrating in the first place.
 
 use elmem::cluster::{Cluster, ClusterConfig};
-use elmem::core::migration::{migrate_scale_in, migrate_scale_out, MigrationCosts};
+use elmem::core::migration::{migrate, MigrationCosts, MigrationRequest, Supervision};
 use elmem::core::scoring::choose_retiring;
 use elmem::store::ImportMode;
 use elmem::util::{DetRng, KeyId, SimTime};
@@ -40,12 +40,16 @@ fn migrated_items_keep_their_ttl() {
     }
 
     let (victims, _) = choose_retiring(&c.tier, 1).unwrap();
-    migrate_scale_in(
+    migrate(
         &mut c.tier,
-        &victims,
+        MigrationRequest::ScaleIn {
+            retiring: &victims,
+            import: ImportMode::Merge,
+        },
         t(3000),
         &MigrationCosts::default(),
-        ImportMode::Merge,
+        &mut Supervision::none(),
+        None,
     )
     .unwrap();
     c.tier.commit_remove(&victims).unwrap();
@@ -101,7 +105,15 @@ fn scale_out_preserves_ttl_too() {
             .unwrap();
     }
     let new = c.tier.provision_nodes(1);
-    migrate_scale_out(&mut c.tier, &new, t(2000), &MigrationCosts::default()).unwrap();
+    migrate(
+        &mut c.tier,
+        MigrationRequest::ScaleOut { new_nodes: &new },
+        t(2000),
+        &MigrationCosts::default(),
+        &mut Supervision::none(),
+        None,
+    )
+    .unwrap();
     c.tier.commit_add(&new).unwrap();
 
     // Everything that landed on the new node carries the original expiry.

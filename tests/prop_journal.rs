@@ -7,7 +7,7 @@
 //! Agents' import ledgers, never imported twice).
 
 use elmem::cluster::{Cluster, ClusterConfig};
-use elmem::core::migration::{migrate_scale_in_journaled, MigrationCosts, Supervision};
+use elmem::core::migration::{migrate, MigrationCosts, MigrationRequest, Supervision};
 use elmem::core::{MasterPlan, MigrationJournal};
 use elmem::store::ImportMode;
 use elmem::util::{DetRng, KeyId, NodeId, SimTime};
@@ -72,15 +72,17 @@ fn run_journaled(
     let mut supervision = Supervision::none();
     supervision.master = master;
     let mut journal = MigrationJournal::new();
-    let report = migrate_scale_in_journaled(
+    let request = MigrationRequest::ScaleIn {
+        retiring: &[VICTIM],
+        import: ImportMode::Merge,
+    };
+    let report = migrate(
         &mut cluster.tier,
-        &[VICTIM],
+        request,
         NOW,
         &MigrationCosts::default(),
-        ImportMode::Merge,
         &mut supervision,
-        &mut journal,
-        0,
+        Some((&mut journal, 0)),
     )
     .expect("journaled migration runs");
     (report, journal)
