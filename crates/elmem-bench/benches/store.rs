@@ -1,13 +1,18 @@
 //! Memcached-substrate throughput: get/set/eviction and the two ElMem
-//! patches (timestamp dump, batch import). These are the per-item costs
-//! behind the §V-B2 overhead model.
+//! patches (timestamp dump, batch import), plus the migration planner's
+//! per-shard dump-and-merge path. These are the per-item costs behind the
+//! §V-B2 overhead model.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use elmem_store::{ImportMode, ItemMeta, SlabStore, StoreConfig};
 use elmem_util::{ByteSize, DetRng, KeyId, SimTime};
 
 fn warmed_store(items: u64) -> SlabStore {
-    let mut s = SlabStore::new(StoreConfig::with_memory(ByteSize::from_mib(64)));
+    warmed_store_with(StoreConfig::with_memory(ByteSize::from_mib(64)), items)
+}
+
+fn warmed_store_with(config: StoreConfig, items: u64) -> SlabStore {
+    let mut s = SlabStore::new(config);
     for k in 0..items {
         s.set(KeyId(k), 100, SimTime::from_nanos(k + 1)).unwrap();
     }
@@ -96,9 +101,34 @@ fn bench_dump_and_import(c: &mut Criterion) {
     group.finish();
 }
 
+/// The planner's dump path: every shard's canonical class dumps, then the
+/// merge back into one canonical dump (a concatenation of `shards` sorted
+/// runs per class).
+fn bench_shard_dump_merge(c: &mut Criterion) {
+    let mut group = c.benchmark_group("shard_dump_merge");
+    let n = 100_000u64;
+    group.throughput(Throughput::Elements(n));
+    for &shards in &[1usize, 4, 8] {
+        let config = StoreConfig {
+            shards,
+            ..StoreConfig::with_memory(ByteSize::from_mib(64))
+        };
+        let store = warmed_store_with(config, n);
+        group.bench_with_input(BenchmarkId::new("shards", shards), &shards, |b, _| {
+            b.iter(|| {
+                let parts: Vec<_> = (0..store.shard_count())
+                    .map(|i| store.dump_shard_classes(i))
+                    .collect();
+                store.merge_shard_dumps(&parts).total_items()
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_ops, bench_dump_and_import
+    targets = bench_ops, bench_dump_and_import, bench_shard_dump_merge
 }
 criterion_main!(benches);

@@ -18,10 +18,12 @@
 //!   must be **byte-identical**, and the wall-clock ratio is the speedup.
 //!
 //! `--smoke` runs a seconds-long version for CI: it always asserts
-//! parallel == serial plan identity, and additionally asserts speedup
-//! ≥ 1.5× when at least 4 cores are available and ≥ 4 jobs requested. A
-//! smoke run never reads from — or overwrites — a full-mode results file;
-//! its numbers come from a smaller tier and are not comparable.
+//! parallel == serial plan identity, asserts the laptop-preset plan digest
+//! equals the pinned [`SMOKE_PLAN_DIGEST`] at any `ELMEM_SHARDS`, and
+//! additionally asserts speedup ≥ 1.5× when at least 4 cores are
+//! available and ≥ 4 jobs requested. A smoke run never reads from — or
+//! overwrites — a full-mode results file; its numbers come from a smaller
+//! tier and are not comparable.
 //! Absolute wall-clock numbers are machine-dependent; the machine-agnostic
 //! fields are the byte-identity bit, the speedup ratio, and the item
 //! counters.
@@ -40,6 +42,11 @@ use elmem_workload::Keyspace;
 
 const RESULT_PATH: &str = "results/BENCH_migration.json";
 const SCHEMA: &str = "elmem-migrate-perf-v1";
+
+/// [`plan_digest`] of the laptop-preset `--smoke` plan. DESIGN.md §14
+/// claims migration planning is byte-identical at any shard count, so the
+/// smoke run must reproduce this value whatever `ELMEM_SHARDS` is.
+const SMOKE_PLAN_DIGEST: u64 = 0xf477_79af_d782_8857;
 
 /// A warmed laptop-scale tier: `keys` keys spread over `nodes` nodes by
 /// the ring, set with Keyspace-drawn value sizes and strictly increasing
@@ -241,6 +248,13 @@ fn main() {
     );
     assert_eq!(serial_stats, parallel_stats, "plan stats must match");
     let digest = plan_digest(&serial_plan);
+    if smoke && Preset::from_cli() == Preset::Laptop {
+        assert_eq!(
+            digest, SMOKE_PLAN_DIGEST,
+            "smoke plan digest {digest:016x} != pinned {SMOKE_PLAN_DIGEST:016x}: DESIGN.md §14 \
+             claims plans are byte-identical at any shard count"
+        );
+    }
     let plan_speedup = plan_serial_wall / plan_parallel_wall;
     let plan_items_per_sec = serial_stats.items_considered as f64 / plan_parallel_wall;
     println!(

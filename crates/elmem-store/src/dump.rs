@@ -23,15 +23,15 @@ impl ClassDump {
     /// The store's MRU list is ordered by *access recency*; items touched in
     /// the same instant may appear in either order there. Dumps are the
     /// interchange format between nodes, so they re-sort by full hotness
-    /// (timestamp + tie-break). The list is already sorted — or nearly so —
-    /// in practice, so canonicalization detects the sorted run first
-    /// (one O(n) comparison pass, no allocation, the common case) and falls
-    /// back to a bounded insertion fixup for a handful of same-instant
-    /// inversions; only a genuinely disordered list pays the full sort.
+    /// (timestamp + tie-break). This is the one place that defines the
+    /// canonical class order: shard merges and batch imports build theirs
+    /// through it too.
     ///
-    /// Hotness is a total order and keys within a class are distinct, so
-    /// every path produces the same unique descending order — callers can
-    /// not observe which one ran.
+    /// The sort is the standard library's *stable* sort, which detects
+    /// natural runs and merges them: O(n) on an already-sorted MRU list (the
+    /// common case) and O(n log k) on k concatenated sorted runs, such as the
+    /// per-shard dumps of one class. Hotness is a total order over distinct
+    /// keys, so the result is the unique descending order of the input.
     pub fn new(class: ClassId, mut items: Vec<ItemMeta>) -> Self {
         canonicalize(&mut items);
         ClassDump { class, items }
@@ -55,44 +55,10 @@ impl ClassDump {
     }
 }
 
-/// Adjacent inversions tolerated before the fixup abandons insertion
-/// sifting for a full sort. Same-instant multi-get accesses produce a few
-/// local inversions per dump; a list with more than this many is treated
-/// as unsorted.
-const MAX_INVERSION_FIXUPS: usize = 64;
-
-/// Sorts `items` into descending hotness, exploiting near-sortedness.
-///
-/// One comparison pass finds the adjacent inversions. None (the common
-/// case: MRU lists are hotness-sorted under normal operation) — done, no
-/// writes at all. At most [`MAX_INVERSION_FIXUPS`] — insertion-sift from
-/// the first inversion onward, O(n + k·d) for k displaced items of travel
-/// distance d. More — full pattern-defeating sort.
+/// Sorts `items` into descending hotness. Stable on purpose: the unstable
+/// sort does not merge presorted runs.
 fn canonicalize(items: &mut [ItemMeta]) {
-    let mut first_inversion = None;
-    let mut inversions = 0usize;
-    for i in 1..items.len() {
-        if items[i - 1].hotness() < items[i].hotness() {
-            inversions += 1;
-            if first_inversion.is_none() {
-                first_inversion = Some(i);
-            }
-            if inversions > MAX_INVERSION_FIXUPS {
-                items.sort_unstable_by_key(|i| std::cmp::Reverse(i.hotness()));
-                return;
-            }
-        }
-    }
-    let Some(start) = first_inversion else {
-        return; // already sorted
-    };
-    for i in start..items.len() {
-        let mut j = i;
-        while j > 0 && items[j - 1].hotness() < items[j].hotness() {
-            items.swap(j - 1, j);
-            j -= 1;
-        }
-    }
+    items.sort_by_key(|i| std::cmp::Reverse(i.hotness()));
 }
 
 /// Metadata dump of a whole store (all non-empty classes).
@@ -149,10 +115,41 @@ mod tests {
         assert_eq!(d.wire_bytes().as_u64(), 63);
     }
 
-    /// Reference canonical order: the full sort the fast paths must match.
-    fn full_sort(mut items: Vec<ItemMeta>) -> Vec<ItemMeta> {
-        items.sort_by_key(|i| std::cmp::Reverse(i.hotness()));
-        items
+    /// The canonical-order spec, checked without sorting: `out` is strictly
+    /// descending by hotness and holds exactly the keys of `input`.
+    fn assert_canonical(input: &[ItemMeta], out: &[ItemMeta]) {
+        for w in out.windows(2) {
+            assert!(
+                w[0].hotness() > w[1].hotness(),
+                "not strictly descending at keys {} → {}",
+                w[0].key,
+                w[1].key
+            );
+        }
+        let multiset = |items: &[ItemMeta]| {
+            let mut counts = std::collections::BTreeMap::<u64, usize>::new();
+            for i in items {
+                *counts.entry(i.key.0).or_default() += 1;
+            }
+            counts
+        };
+        assert_eq!(
+            multiset(out),
+            multiset(input),
+            "not a permutation of the input"
+        );
+    }
+
+    /// `items` split round-robin into `k` parts, each canonicalized on its
+    /// own and then concatenated: the shape of a class's per-shard dumps
+    /// before the shard merge.
+    fn concatenated_runs(items: &[ItemMeta], k: usize) -> Vec<ItemMeta> {
+        (0..k)
+            .flat_map(|r| {
+                let part = items.iter().skip(r).step_by(k).copied().collect();
+                ClassDump::new(ClassId(0), part).items
+            })
+            .collect()
     }
 
     #[test]
@@ -163,36 +160,49 @@ mod tests {
     }
 
     #[test]
-    fn few_inversions_fixed_by_insertion_path() {
+    fn nearly_sorted_inputs_are_canonicalized() {
         // Mostly descending with a handful of local swaps — the
         // same-instant multi-get pattern.
         let mut items: Vec<ItemMeta> = (0..200).map(|k| item(k, 2000 - k)).collect();
         items.swap(10, 11);
         items.swap(50, 51);
         items.swap(120, 121);
-        let expect = full_sort(items.clone());
-        assert_eq!(ClassDump::new(ClassId(0), items).items, expect);
+        assert_canonical(&items, &ClassDump::new(ClassId(0), items.clone()).items);
+
+        // k concatenated descending runs (a shard merge), with interleaved
+        // timestamps and with every item sharing one timestamp. Either way
+        // the result equals the single-shot dump of the same items.
+        let spread: Vec<ItemMeta> = (0..400).map(|k| item(k, 5000 - k)).collect();
+        let flat: Vec<ItemMeta> = (0..400).map(|k| item(k, 7)).collect();
+        for base in [spread, flat] {
+            let whole = ClassDump::new(ClassId(0), base.clone()).items;
+            for k in [2, 4, 8] {
+                let runs = concatenated_runs(&base, k);
+                let d = ClassDump::new(ClassId(0), runs.clone());
+                assert_canonical(&runs, &d.items);
+                assert_eq!(d.items, whole, "{k} runs merge to the one canonical order");
+            }
+        }
     }
 
     #[test]
     fn long_distance_displacement_fixed() {
-        // One very hot item buried at the tail: a single inversion whose
-        // fixup must travel the whole list.
+        // One very hot item buried at the tail: a single inversion that
+        // must travel the whole list.
         let mut items: Vec<ItemMeta> = (0..100).map(|k| item(k, 1000 - k)).collect();
         items.push(item(999, 5000));
-        let expect = full_sort(items.clone());
-        let d = ClassDump::new(ClassId(0), items);
-        assert_eq!(d.items, expect);
+        let d = ClassDump::new(ClassId(0), items.clone());
+        assert_canonical(&items, &d.items);
         assert_eq!(d.items[0].key.0, 999);
     }
 
     #[test]
-    fn heavily_shuffled_falls_back_to_full_sort() {
-        // Ascending input: every adjacent pair is an inversion, far past
-        // the fixup budget.
+    fn ascending_input_is_reversed() {
+        // Every adjacent pair is an inversion.
         let items: Vec<ItemMeta> = (0..500).map(|k| item(k, k + 1)).collect();
-        let expect = full_sort(items.clone());
-        assert_eq!(ClassDump::new(ClassId(0), items).items, expect);
+        let d = ClassDump::new(ClassId(0), items.clone());
+        assert_canonical(&items, &d.items);
+        assert!(d.items.iter().rev().eq(items.iter()));
     }
 
     #[test]
@@ -204,7 +214,7 @@ mod tests {
         let a = ClassDump::new(ClassId(0), fwd.clone());
         let b = ClassDump::new(ClassId(0), rev);
         assert_eq!(a.items, b.items, "canonical order is input-order-free");
-        assert_eq!(a.items, full_sort(fwd));
+        assert_canonical(&fwd, &a.items);
     }
 
     #[test]

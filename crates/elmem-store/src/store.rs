@@ -869,16 +869,6 @@ impl SlabStore {
         MetadataDump::new(dumps)
     }
 
-    /// [`dump_metadata`](Self::dump_metadata) with the per-shard dump work
-    /// fanned out over up to `jobs` threads (byte-identical at any job
-    /// count — the migration planner's fan-out unit).
-    pub fn dump_metadata_par(&self, jobs: usize) -> MetadataDump {
-        let shard_ids: Vec<usize> = (0..self.shards.len()).collect();
-        let parts =
-            elmem_util::par::par_map_indexed(jobs, &shard_ids, |_, &s| self.dump_shard_classes(s));
-        self.merge_shard_dumps(&parts)
-    }
-
     /// Median hotness of a class's MRU list (the statistic the Master
     /// compares across nodes when choosing which node to retire, §III-C).
     ///
@@ -948,47 +938,34 @@ impl SlabStore {
             }
         }
 
-        // Canonicalize to strict hotness order (the MRU list may order
-        // same-instant accesses either way; see `ClassDump::new`).
-        let mut resident: Vec<ItemMeta> = self.iter_class_mru(class).collect();
-        resident.sort_by_key(|i| std::cmp::Reverse(i.hotness()));
-        // Snapshot the accepted keys (sorted, for binary search) before the
-        // merge consumes `accepted`; both import modes then build `merged`
-        // by *moving* the accepted items — no clones of the batch.
+        // Take the resident list out of the class, then build the new one
+        // in canonical hotness order (see `ClassDump::new`). Resident and
+        // accepted keys are disjoint after collision resolution, so one
+        // stable sort of their concatenation is their hotness merge. The
+        // sorted key snapshot still identifies the accepted items once they
+        // have been moved into `merged`.
+        let resident: Vec<ItemMeta> = self.iter_class_mru(class).collect();
+        for item in &resident {
+            self.remove_entry(item.key);
+        }
         let mut incoming_keys: Vec<KeyId> = accepted.iter().map(|i| i.key).collect();
         incoming_keys.sort_unstable();
         let merged: Vec<ItemMeta> = match mode {
             ImportMode::Merge => {
-                // Both inputs are hottest-first; standard 2-way merge.
-                accepted.sort_by_key(|i| std::cmp::Reverse(i.hotness()));
-                let mut all = Vec::with_capacity(resident.len() + accepted.len());
-                let (mut i, mut j) = (0usize, 0usize);
-                while i < resident.len() && j < accepted.len() {
-                    if resident[i].hotness() >= accepted[j].hotness() {
-                        all.push(resident[i]);
-                        i += 1;
-                    } else {
-                        all.push(accepted[j]);
-                        j += 1;
-                    }
-                }
-                all.extend_from_slice(&resident[i..]);
-                all.extend_from_slice(&accepted[j..]);
-                all
+                let mut all = resident;
+                all.append(&mut accepted);
+                ClassDump::new(class, all).items
             }
             ImportMode::Prepend => {
                 let mut all = accepted;
-                all.extend_from_slice(&resident);
+                all.append(&mut ClassDump::new(class, resident).items);
                 all
             }
         };
 
-        // Rebuild the class list: clear it, then grow capacity and insert
-        // in order (hottest first, descending stamps from a block reserved
-        // off the LRU clock), evicting the overflow (the tail of `merged`).
-        for item in &resident {
-            self.remove_entry(item.key);
-        }
+        // Rebuild the class list: grow capacity and insert in order (hottest
+        // first, descending stamps from a block reserved off the LRU clock),
+        // evicting the overflow (the tail of `merged`).
         let n = merged.len() as u64;
         let base = self.lru_clock;
         self.lru_clock += n;
@@ -1610,9 +1587,6 @@ mod tests {
             .map(|i| s.dump_shard_classes(i))
             .collect();
         assert_eq!(s.merge_shard_dumps(&parts), full);
-        for jobs in [1, 2, 8] {
-            assert_eq!(s.dump_metadata_par(jobs), full);
-        }
     }
 
     #[test]
